@@ -19,11 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .bitsets import bits, mask_of, set_of
 from .digraph import (
     Digraph,
     induced,
     is_nontrivial_component,
     nontrivial_sccs_within,
+    scc_mask_partition,
     sccs_within,
 )
 from .elimination import EliminationForest, EliminationNode, height, validate_forest
@@ -76,37 +78,44 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
     if not w:
         raise InputError("separator target must be nonempty")
     bound = -(-3 * len(w) // 4)  # ceil(3|W|/4)
+    succ = g.succ_masks
+    pred = g.pred_masks
+    w_mask = mask_of(w)
     if cfg.separator_mode == "exact" and len(w) <= cfg.exact_separator_limit:
         verts = sorted(w)
         for k in range(1, len(w) + 1):
             for combo in itertools.combinations(verts, k):
-                rest = w.difference(combo)
-                if all(len(c) <= bound for c in sccs_within(g, rest)):
+                rest = w_mask & ~mask_of(combo)
+                if all(c.bit_count() <= bound
+                       for c in scc_mask_partition(succ, pred, rest)):
                     return frozenset(combo)
         raise AssertionError("unreachable: S = W always qualifies")
     # Greedy: repeatedly delete the vertex whose removal shrinks the largest
     # remaining SCC the most, ties to the smallest id.  At least one vertex
     # is always deleted so the caller's recursion makes progress.
-    chosen: set[int] = set()
-    rest = set(w)
+    chosen = 0
+    rest = w_mask
     while True:
-        comps = sccs_within(g, rest)
-        largest = max((len(c) for c in comps), default=0)
+        comps = list(scc_mask_partition(succ, pred, rest))
+        largest = max((c.bit_count() for c in comps), default=0)
         if chosen and largest <= bound:
             break
-        candidates = sorted(v for c in comps if len(c) == largest for v in c)
+        # components are disjoint masks, so their sum is their union
+        candidates = sum(c for c in comps if c.bit_count() == largest)
         best_v = None
         best_after = None
-        for v in candidates:
-            after = max((len(c) for c in sccs_within(g, rest - {v})), default=0)
+        for v in bits(candidates):
+            after = max((c.bit_count()
+                         for c in scc_mask_partition(succ, pred, rest & ~(1 << v))),
+                        default=0)
             if best_after is None or after < best_after:
                 best_after = after
                 best_v = v
-        chosen.add(best_v)
-        rest.discard(best_v)
+        chosen |= 1 << best_v
+        rest &= ~(1 << best_v)
         if not rest:
             break
-    return frozenset(chosen)
+    return set_of(chosen)
 
 
 def extend_forest(g: Digraph, w: frozenset[int] | set[int],

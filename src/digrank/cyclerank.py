@@ -59,7 +59,7 @@ def crank_bruteforce(g: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> int:
         if acyclic_mask(succ, sub):
             val = 0
         else:
-            comps = scc_mask_partition(succ, pred, sub)
+            comps = list(scc_mask_partition(succ, pred, sub))
             if len(comps) == 1 and comps[0] == sub:
                 # strongly connected with an edge (it has a cycle)
                 val = 1 + min(rank(sub ^ (1 << v)) for v in bits(sub))
@@ -108,19 +108,13 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
                 best = 1
                 best_pivot = x
                 break  # 1 is the least any pivot can cost
-            v = (rest & -rest).bit_length() - 1
-            fwd = reach_mask(succ, rest, v)
-            if fwd == rest and reach_mask(pred, rest, v) == rest:
-                # rest is strongly connected and cyclic, hence nontrivial
-                val = 1 + solve(rest)
-            else:
-                val = 0
-                for comp in scc_mask_partition(succ, pred, rest):
-                    if comp.bit_count() > 1 or comp & loops:
-                        sub = solve(comp)
-                        if sub > val:
-                            val = sub
-                val += 1
+            val = 0
+            for comp in scc_mask_partition(succ, pred, rest):
+                if comp.bit_count() > 1 or comp & loops:
+                    sub = solve(comp)
+                    if sub > val:
+                        val = sub
+            val += 1
             if val < best:
                 best = val
                 best_pivot = x

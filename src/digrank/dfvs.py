@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, set_of
-from .digraph import Digraph, acyclic_mask, reach_mask
+from .digraph import Digraph, acyclic_mask, scc_mask_partition
 from .errors import CapacityError, InputError, ResourceLimitError
 
 DFVS_VERTEX_LIMIT = 64
@@ -36,11 +36,9 @@ def _find_cycle(g: Digraph, sub: int) -> list[int] | None:
     succ = g.succ_masks
     pred = g.pred_masks
     loops = g.loop_mask
-    rem = sub
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        comp = reach_mask(succ, rem, v) & reach_mask(pred, rem, v)
-        if comp.bit_count() > 1 or comp & loops & (1 << v):
+    for comp in scc_mask_partition(succ, pred, sub):
+        if comp.bit_count() > 1 or comp & loops:
+            v = (comp & -comp).bit_length() - 1
             if loops & (1 << v):
                 return [v]
             # BFS inside comp from v back to v
@@ -61,7 +59,6 @@ def _find_cycle(g: Digraph, sub: int) -> list[int] | None:
                             nxt.append(w)
                 frontier = nxt
             raise AssertionError("unreachable: nontrivial SCC has a cycle through each vertex")
-        rem ^= comp
     return None
 
 

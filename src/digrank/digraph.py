@@ -16,17 +16,30 @@ Strongly connected components are always reported in topological order
 (every edge between distinct components goes from an earlier component to
 a later one); ties between incomparable components are broken by their
 smallest contained vertex id, which makes every listing deterministic.
+
+scc_mask_partition is the one SCC engine: every SCC partition in the
+package comes from it (queries about a single vertex's component use two
+reach_mask sweeps directly).  It peels the remainder R (initially the
+vertex mask) one component at a time: take the least vertex v of R, let B
+be the vertices of R that reach v, and sweep forward from v inside B.  The
+sweep finds exactly v's component.  Everything it reaches lies in B, so it
+reaches v and is reached from v.  Conversely, if w is in v's component,
+every vertex on a path from v to w is reached from v and reaches w, hence
+v, so the whole path lies in B.  Since each peel removes a whole
+component, v's component in R is its component in the full mask, and the
+components come out by ascending least vertex.  sccs_within orders them
+topologically with Kahn's algorithm on the condensation.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, mask_of, set_of
 from .errors import InputError, ParseError
 
 Edge = tuple[int, int]
@@ -126,102 +139,17 @@ def acyclic_mask(succ_masks, sub: int) -> bool:
     return True
 
 
-def scc_mask_of(succ_masks, pred_masks, sub: int, v: int) -> int:
-    """Mask of the strongly connected component of v within ``sub``."""
-    return reach_mask(succ_masks, sub, v) & reach_mask(pred_masks, sub, v)
+def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
+    """Yield the SCC masks of the subgraph on ``sub`` by ascending least vertex.
 
-
-def scc_mask_partition(succ_masks, pred_masks, sub: int) -> list[int]:
-    """All SCC masks of the subgraph on ``sub``, in no particular order."""
-    comps = []
+    See the module docstring for why each peel is exactly one component.
+    """
     rem = sub
     while rem:
         v = (rem & -rem).bit_length() - 1
-        comp = reach_mask(succ_masks, rem, v) & reach_mask(pred_masks, rem, v)
-        comps.append(comp)
+        comp = reach_mask(succ_masks, reach_mask(pred_masks, rem, v), v)
+        yield comp
         rem ^= comp
-    return comps
-
-
-# ---------------------------------------------------------------------------
-# strongly connected components, deterministic topological order
-
-
-def _tarjan(order: Iterable[int], succ_of) -> list[list[int]]:
-    # Iterative Tarjan: an explicit work stack of (vertex, successor
-    # iterator) frames, so deep graphs cannot hit the recursion limit.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    onstack: set[int] = set()
-    comps: list[list[int]] = []
-    for root in order:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ_of(root)))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ_of(w))))
-                    advanced = True
-                    break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _topo_sorted(g: Digraph, comps: list[list[int]]) -> list[frozenset[int]]:
-    # Kahn's algorithm on the condensation; the heap key (smallest vertex
-    # in the component) fixes the order among incomparable components.
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    members = {v for comp in comps for v in comp}
-    out_edges: list[set[int]] = [set() for _ in comps]
-    indeg = [0] * len(comps)
-    for u, v in g.edges:
-        if u not in members or v not in members:
-            continue
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv and cv not in out_edges[cu]:
-            out_edges[cu].add(cv)
-            indeg[cv] += 1
-    heap = [(min(comp), i) for i, comp in enumerate(comps) if indeg[i] == 0]
-    heapq.heapify(heap)
-    ordered = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        ordered.append(frozenset(comps[i]))
-        for j in out_edges[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (min(comps[j]), j))
-    return ordered
 
 
 def sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozenset[int]]:
@@ -233,13 +161,35 @@ def sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozenset[int]]:
     for v in allowed:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for n={g.n}")
-    succ = g.succ
-
-    def succ_of(v):
-        return (w for w in succ[v] if w in allowed)
-
-    comps = _tarjan(sorted(allowed), succ_of)
-    return _topo_sorted(g, comps)
+    sub = mask_of(allowed)
+    succ = g.succ_masks
+    comps = list(scc_mask_partition(succ, g.pred_masks, sub))
+    # Kahn's algorithm on the condensation.  The partition is in ascending
+    # least-vertex order, so a component's index is its tie-break key.
+    comp_of = {}
+    for i, comp in enumerate(comps):
+        for v in bits(comp):
+            comp_of[v] = i
+    targets = []
+    indeg = [0] * len(comps)
+    for comp in comps:
+        out = 0
+        for v in bits(comp):
+            out |= succ[v]
+        ts = {comp_of[w] for w in bits(out & sub & ~comp)}
+        for j in ts:
+            indeg[j] += 1
+        targets.append(ts)
+    heap = [i for i, d in enumerate(indeg) if not d]  # ascending, so a heap
+    ordered = []
+    while heap:
+        i = heapq.heappop(heap)
+        ordered.append(set_of(comps[i]))
+        for j in targets[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(heap, j)
+    return ordered
 
 
 def scc(g: Digraph) -> list[frozenset[int]]:

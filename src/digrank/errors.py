@@ -15,7 +15,10 @@ class DigrankError(Exception):
 
 
 class InputError(DigrankError):
-    """Malformed or out-of-range input (bad vertex ids, bad arguments)."""
+    """Malformed or out-of-range input (bad vertex ids, bad arguments).
+
+    Example: a graph with loops passed to the bounds chain.
+    """
 
 
 class ParseError(InputError):
@@ -31,8 +34,8 @@ class ParseError(InputError):
 class DomainError(DigrankError):
     """Structurally sound input outside an operation's domain.
 
-    Examples: a graph with loops passed to the bounds chain, an automaton
-    that is not bideterministic passed to the star height pipeline.
+    Example: an automaton that is not bideterministic passed to the star
+    height pipeline.
     """
 
 

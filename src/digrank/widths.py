@@ -33,7 +33,7 @@ from .digraph import (
     Digraph,
     format_vertex_set,
     parse_vertex_set,
-    reach_mask,
+    scc_mask_partition,
     sccs_within,
 )
 from .errors import CapacityError, DomainError, InputError, ParseError
@@ -253,14 +253,8 @@ def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:
     best = 0
 
     def sccs_small_enough(rest_mask: int, bound: int) -> bool:
-        rem = rest_mask
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            comp = reach_mask(succ, rem, v) & reach_mask(pred, rem, v)
-            if comp.bit_count() > bound:
-                return False
-            rem ^= comp
-        return True
+        return all(comp.bit_count() <= bound
+                   for comp in scc_mask_partition(succ, pred, rest_mask))
 
     def min_sep_size_exceeds(u_mask: int, cap: int) -> int | None:
         """None if some separator of size <= cap exists, else the true

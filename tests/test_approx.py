@@ -1,5 +1,6 @@
 """Separator-based cycle rank approximation."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,8 +18,8 @@ from digrank import (
 )
 from digrank.approx import extend_forest
 from digrank.digraph import sccs_within
-from digrank.elimination import height
-from digrank.generate import random_digraph
+from digrank.elimination import height, serialize_forest
+from digrank.generate import random_digraph, random_strongly_connected
 
 from common import chain, clique, cycle, loop_vertex
 
@@ -161,6 +162,19 @@ def test_approx_is_deterministic():
         g = random_digraph(rng, 12, edge_prob=0.25)
         cfg = ApproxConfig(base_threshold=2)
         assert crank_approx(g, cfg) == crank_approx(g, cfg)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (60, "fa079066709134698d856370e981f23f22ea4fac4d761713cdf15acbfa5e8b1f"),
+    (100, "bad3bfd2b45d32aa5fc2b313b198298bba4363376b8b07067946a9984a843fac"),
+    (150, "eefa4b1e96e3aa93a38831c9b014205121361d6311fd534d85a6dbe131946849"),
+])
+def test_approx_forest_bytes_are_pinned(n, digest):
+    # Pins the canonical forest (pivots, child and root order), which
+    # validity alone does not fix.
+    g = random_strongly_connected(random.Random(n), n, max_outdeg=3)
+    text = serialize_forest(crank_approx(g).forest)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_approx_separator_log_depths_grow_from_zero():

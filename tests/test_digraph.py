@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import (
     Digraph,
@@ -17,10 +18,13 @@ from digrank import (
     serialize_digraph,
     to_dot,
 )
+from digrank.bitsets import mask_of
 from digrank.digraph import (
     format_vertex_set,
     nontrivial_sccs,
+    nontrivial_sccs_within,
     parse_vertex_set,
+    scc_mask_partition,
     sccs_within,
 )
 
@@ -89,6 +93,48 @@ def test_sccs_within_restricts_to_the_induced_subgraph():
     g = cycle(4)
     assert sccs_within(g, {0, 1, 2}) == [
         frozenset({0}), frozenset({1}), frozenset({2})]
+
+
+@pytest.mark.parametrize("fn", [sccs_within, nontrivial_sccs_within])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_sccs_within_rejects_out_of_range_ids(fn, bad):
+    with pytest.raises(InputError):
+        fn(cycle(3), {0, bad})
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    n = draw(st.integers(0, 12))
+    adj = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    g = Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                               if adj[u * n + v]])
+    return g, {v for v in range(n) if keep[v]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_with_subsets())
+def test_sccs_within_canonical_order_spec(case):
+    # Checked against the definition only: strong connectivity through
+    # is_strongly_connected, and the condensation built from the edge set.
+    g, sub = case
+    comps = sccs_within(g, sub)
+    assert sorted(v for c in comps for v in c) == sorted(sub)
+    assert all(c and is_strongly_connected(induced(g, c)) for c in comps)
+    index = {v: i for i, c in enumerate(comps) for v in c}
+    inner = [(index[u], index[v]) for u, v in g.edges if u in sub and v in sub]
+    # Every edge goes forward; with strongly connected parts that also
+    # makes each part a maximal strongly connected set.
+    assert all(i <= j for i, j in inner)
+    for i in range(len(comps)):
+        entered = {j for a, j in inner if a != j}
+        sources = [k for k in range(i, len(comps)) if k not in entered]
+        assert i == min(sources, key=lambda k: min(comps[k]))
+        inner = [(a, b) for a, b in inner if a != i]
+    masks = list(scc_mask_partition(g.succ_masks, g.pred_masks, mask_of(sub)))
+    leasts = [(m & -m).bit_length() - 1 for m in masks]
+    assert leasts == sorted(leasts)
+    assert sorted(masks) == sorted(mask_of(c) for c in comps)
 
 
 def test_induced_subgraph_relabels_canonically():
