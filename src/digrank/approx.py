@@ -2,9 +2,15 @@
 
 Strategy for a strongly connected piece W: find a set S whose deletion
 leaves every SCC of the subgraph on W - S with at most ceil(3|W|/4)
-vertices, recurse on W - S, then splice the separator vertices back one at
-a time; each splice roots a new tree at the added vertex over the merged
-strongly connected set.  Pieces at or below a size threshold (by default
+vertices, and recurse on those SCCs (the pieces).  The tree over W is
+then fixed top down: every scope pivots on its largest vertex of S, and a
+scope that holds no vertex of S is a piece and takes the piece's tree.
+That is the tree one gets by splicing S back into the pieces' forest in
+ascending order, each splice rooting the merged strongly connected set at
+the spliced vertex: a merged set keeps the last vertex spliced into it as
+its root.  Every scope below W is an SCC of W - P for the pivots P above
+it, all in S; so a scope without a vertex of S is an SCC of W - S, that
+is, a piece.  Pieces at or below a size threshold (by default
 max(1, ceil((log2 n)^1.5))) are solved outright.
 
 Heights are within a polylogarithmic factor of optimal for graphs whose
@@ -20,19 +26,14 @@ import math
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, set_of
-from .digraph import (
-    Digraph,
-    induced,
-    is_nontrivial_component,
-    nontrivial_sccs_within,
-    scc_mask_partition,
-    sccs_within,
-)
-from .elimination import EliminationForest, EliminationNode, height, validate_forest
+from .digraph import Digraph, induced, nontrivial_sccs_within, scc_mask_partition
+# Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
+from .digraph import sccs_within  # noqa: F401
+from .elimination import EliminationForest, EliminationNode, height, pivot_tree
 from .errors import InputError, ResourceLimitError
 
 # Above this piece size the base case stops calling the exact solver and
-# falls back to a smallest-pivot deletion forest.
+# falls back to a smallest-pivot deletion tree.
 EXACT_BASE_LIMIT = 14
 EXACT_BASE_MEMO_LIMIT = 200_000
 
@@ -118,53 +119,6 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
     return set_of(chosen)
 
 
-def extend_forest(g: Digraph, w: frozenset[int] | set[int],
-                  x: frozenset[int] | set[int], s: int,
-                  forest: EliminationForest) -> EliminationForest:
-    """Given a forest valid for the subgraph on W union X, absorb the new
-    vertex s: trees whose components merge with s into one strongly
-    connected set become children of a new root pivoted at s whose scope is
-    that merged set; all other trees carry over.  The result is valid for
-    the subgraph on W union X union {s}.
-    """
-    base = frozenset(w) | frozenset(x)
-    if s in base:
-        raise InputError(f"vertex {s} is already present")
-    if not 0 <= s < g.n:
-        raise InputError(f"vertex {s} out of range for n={g.n}")
-    problems = validate_forest(g, forest, base)
-    if problems:
-        raise InputError("forest not valid for the host subgraph: "
-                         + "; ".join(problems))
-    return _extend(g, base, s, list(forest.trees))
-
-
-def _extend(g: Digraph, base: frozenset[int], s: int,
-            trees: list[EliminationNode]) -> EliminationForest:
-    domain = base | {s}
-    comps = sccs_within(g, domain)
-    merged_scope = next(c for c in comps if s in c)
-    if not is_nontrivial_component(g, merged_scope):
-        ordered = _order_roots(trees, comps)
-        return EliminationForest(tuple(ordered))
-    inside = [t for t in trees if t.scope <= merged_scope]
-    outside = [t for t in trees if not t.scope <= merged_scope]
-    child_order = nontrivial_sccs_within(g, merged_scope - {s})
-    by_scope = {t.scope: t for t in inside}
-    children = tuple(by_scope[c] for c in child_order)
-    new_root = EliminationNode(s, merged_scope, children)
-    ordered = _order_roots(outside + [new_root], comps)
-    return EliminationForest(tuple(ordered))
-
-
-def _order_roots(trees: list[EliminationNode],
-                 comps: list[frozenset[int]]) -> list[EliminationNode]:
-    by_scope = {t.scope: t for t in trees}
-    ordered = [by_scope[c] for c in comps if c in by_scope]
-    assert len(ordered) == len(trees), "tree scope is not a component of the host"
-    return ordered
-
-
 def crank_approx(g: Digraph, config: ApproxConfig | None = None) -> ApproxResult:
     """Approximate cycle rank: a valid elimination forest plus its height.
 
@@ -175,30 +129,17 @@ def crank_approx(g: Digraph, config: ApproxConfig | None = None) -> ApproxResult
     threshold = cfg.resolved_threshold(g.n)
     log: list[tuple[int, int]] = []
 
-    def forest_for(vertices: frozenset[int], depth: int) -> list[EliminationNode]:
-        trees: list[EliminationNode] = []
-        for comp in sccs_within(g, vertices):
-            if is_nontrivial_component(g, comp):
-                trees.append(tree_for(comp, depth))
-        return trees
-
     def tree_for(w: frozenset[int], depth: int) -> EliminationNode:
         if len(w) <= threshold:
             return _base_tree(g, w)
         s = find_balanced_separator(g, w, cfg)
         log.append((depth, len(s)))
-        trees = forest_for(w - s, depth + 1)
-        domain = w - s
-        for v in sorted(s):
-            forest = _extend(g, domain, v, trees)
-            trees = list(forest.trees)
-            domain = domain | {v}
-        # W is strongly connected, so everything merged into one tree.
-        assert len(trees) == 1
-        return trees[0]
+        pieces = {c: tree_for(c, depth + 1)
+                  for c in nontrivial_sccs_within(g, w - s)}
+        return pivot_tree(g, w, lambda scope: max(scope & s), pieces)
 
-    trees = forest_for(frozenset(g.vertices), 0)
-    forest = EliminationForest(tuple(trees))
+    forest = EliminationForest(tuple(
+        tree_for(c, 0) for c in nontrivial_sccs_within(g, g.vertices)))
     return ApproxResult(forest, height(forest), tuple(log))
 
 
@@ -216,17 +157,10 @@ def _base_tree(g: Digraph, w: frozenset[int]) -> EliminationNode:
         else:
             (root,) = res.witness.trees  # strongly connected piece: one tree
             return _relabel(root, mapping)
-    return _deletion_tree(g, w)
+    return pivot_tree(g, w, min)
 
 
 def _relabel(node: EliminationNode, mapping: list[int]) -> EliminationNode:
     return EliminationNode(mapping[node.pivot],
                            frozenset(mapping[v] for v in node.scope),
                            tuple(_relabel(c, mapping) for c in node.children))
-
-
-def _deletion_tree(g: Digraph, comp: frozenset[int]) -> EliminationNode:
-    pivot = min(comp)
-    children = tuple(_deletion_tree(g, c)
-                     for c in nontrivial_sccs_within(g, comp - {pivot}))
-    return EliminationNode(pivot, comp, children)

@@ -17,16 +17,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bitsets import bits, set_of
+from .bitsets import bits, mask_of
 from .digraph import (
     Digraph,
     acyclic_mask,
-    is_nontrivial_component,
     nontrivial_sccs_within,
     reach_mask,
     scc_mask_partition,
 )
-from .elimination import EliminationForest, EliminationNode
+from .elimination import EliminationForest, pivot_tree
 from .errors import CapacityError, InputError, ResourceLimitError
 
 EXACT_VERTEX_LIMIT = 64
@@ -127,17 +126,14 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
     top = nontrivial_sccs_within(g, g.vertices)
     value = 0
     for comp in top:
-        v = solve(sum(1 << b for b in comp))
+        v = solve(mask_of(comp))
         if v > value:
             value = v
 
-    def build_tree(scope: frozenset[int]) -> EliminationNode:
-        pivot = memo[sum(1 << b for b in scope)] & 0x7F
-        children = tuple(build_tree(c)
-                         for c in nontrivial_sccs_within(g, scope - {pivot}))
-        return EliminationNode(pivot, scope, children)
+    def memo_pivot(scope: frozenset[int]) -> int:
+        return memo[mask_of(scope)] & 0x7F
 
-    witness = EliminationForest(tuple(build_tree(c) for c in top))
+    witness = EliminationForest(tuple(pivot_tree(g, c, memo_pivot) for c in top))
     return CrankResult(value, witness, len(memo), time.perf_counter() - t0)
 
 

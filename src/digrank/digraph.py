@@ -152,16 +152,21 @@ def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
         rem ^= comp
 
 
+def _vertex_mask(g: Digraph, vertices: Iterable[int]) -> int:
+    """Mask of ``vertices``; InputError unless each is a vertex id of G."""
+    allowed = set(vertices)
+    for v in allowed:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range for n={g.n}")
+    return mask_of(allowed)
+
+
 def sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozenset[int]]:
     """SCCs of the subgraph induced on ``vertices``, in original labels.
 
     Topological order, ties by smallest contained vertex id.
     """
-    allowed = set(vertices)
-    for v in allowed:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    sub = mask_of(allowed)
+    sub = _vertex_mask(g, vertices)
     succ = g.succ_masks
     comps = list(scc_mask_partition(succ, g.pred_masks, sub))
     # Kahn's algorithm on the condensation.  The partition is in ascending
@@ -214,10 +219,7 @@ def nontrivial_sccs(g: Digraph) -> list[frozenset[int]]:
 
 
 def is_acyclic_within(g: Digraph, vertices: Iterable[int]) -> bool:
-    sub = mask_of(vertices)
-    if sub >> g.n:
-        raise InputError("vertex out of range")
-    return acyclic_mask(g.succ_masks, sub)
+    return acyclic_mask(g.succ_masks, _vertex_mask(g, vertices))
 
 
 def is_acyclic(g: Digraph) -> bool:

@@ -25,7 +25,7 @@ this package.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
 from .digraph import (
@@ -77,6 +77,26 @@ def height(forest: EliminationForest) -> int:
             best = d
         todo.extend((c, d + 1) for c in node.children)
     return best
+
+
+def pivot_tree(g: Digraph, scope: frozenset[int],
+               pivot_of: Callable[[frozenset[int]], int],
+               built: Mapping[frozenset[int], EliminationNode] | None = None
+               ) -> EliminationNode:
+    """The tree of a nontrivial strongly connected scope under a pivot rule.
+
+    The root is (x, scope) with x = pivot_of(scope); its children are the
+    trees of the nontrivial SCCs of scope - x, built the same way and
+    listed in sccs_within order.  That is condition (d) at every node, so
+    the tree is valid for the subgraph on scope and serializes canonically.
+    A scope found in ``built`` is taken as that finished subtree.
+    """
+    if built and scope in built:
+        return built[scope]
+    x = pivot_of(scope)
+    return EliminationNode(x, scope, tuple(
+        pivot_tree(g, c, pivot_of, built)
+        for c in nontrivial_sccs_within(g, scope - {x})))
 
 
 def validate_forest(g: Digraph, forest: EliminationForest,
@@ -224,24 +244,3 @@ def parse_forest(text: str) -> EliminationForest:
         return EliminationNode(node[0], node[1], tuple(freeze(c) for c in node[2]))
 
     return EliminationForest(tuple(freeze(r) for r in roots))
-
-
-def forest_to_dot(forest: EliminationForest) -> str:
-    lines = ["digraph {", '  node [shape=box];']
-    counter = 0
-
-    def emit(node: EliminationNode) -> int:
-        nonlocal counter
-        ident = counter
-        counter += 1
-        label = f"{node.pivot} : {format_vertex_set(node.scope)}"
-        lines.append(f'  n{ident} [label="{label}"];')
-        for c in node.children:
-            cid = emit(c)
-            lines.append(f"  n{ident} -> n{cid};")
-        return ident
-
-    for tree in forest.trees:
-        emit(tree)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

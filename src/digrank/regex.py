@@ -160,11 +160,20 @@ def symbols_of(r: Regex) -> frozenset[str]:
 
 def star_height(r: Regex) -> int:
     """Maximum star nesting depth."""
-    if isinstance(r, (EmptySet, EmptyWord, Symbol)):
-        return 0
-    if isinstance(r, Star):
-        return 1 + star_height(r.inner)
-    return max(star_height(r.left), star_height(r.right))
+    # An explicit stack: concatenation builds a left-deep tree, so a long
+    # word nests as deep as it is long.
+    best = 0
+    todo = [(r, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, Star):
+            todo.append((node.inner, depth + 1))
+        elif isinstance(node, (Union, Concat)):
+            todo.append((node.left, depth))
+            todo.append((node.right, depth))
+        elif depth > best:
+            best = depth
+    return best
 
 
 def nullable(r: Regex) -> bool:

@@ -7,16 +7,13 @@ import pytest
 
 from digrank import (
     ApproxConfig,
-    Digraph,
     EliminationForest,
-    EliminationNode,
     InputError,
     crank_approx,
     crank_exact,
     find_balanced_separator,
     validate_forest,
 )
-from digrank.approx import extend_forest
 from digrank.digraph import sccs_within
 from digrank.elimination import height, serialize_forest
 from digrank.generate import random_digraph, random_strongly_connected
@@ -62,73 +59,6 @@ def test_separator_input_errors():
         find_balanced_separator(cycle(3), {0, 7})
 
 
-def test_extend_forest_closing_a_cycle():
-    # 1 -> 2 alone is acyclic; adding 0 with 0 -> 1 and 2 -> 0 closes it.
-    g = Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    out = extend_forest(g, {1, 2}, frozenset(), 0, EliminationForest())
-    assert out == EliminationForest(
-        (EliminationNode(0, frozenset({0, 1, 2})),))
-    assert validate_forest(g, out) == []
-
-
-def test_extend_forest_no_new_cycle():
-    g = chain(3)
-    out = extend_forest(g, {1, 2}, frozenset(), 0, EliminationForest())
-    assert out == EliminationForest()
-
-
-def test_extend_forest_carries_disjoint_trees():
-    # s = 4 is isolated; the two 2-cycles keep their trees.
-    g = Digraph.from_edges(5, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    t0 = EliminationNode(0, frozenset({0, 1}))
-    t2 = EliminationNode(2, frozenset({2, 3}))
-    forest = EliminationForest((t0, t2))
-    out = extend_forest(g, {0, 1, 2, 3}, frozenset(), 4, forest)
-    assert out == forest
-
-
-def test_extend_forest_merges_across_components():
-    # 0 bridges the two 2-cycles into one strongly connected set.
-    g = Digraph.from_edges(
-        5, [(1, 2), (2, 1), (3, 4), (4, 3), (0, 1), (2, 3), (4, 0)])
-    t1 = EliminationNode(1, frozenset({1, 2}))
-    t3 = EliminationNode(3, frozenset({3, 4}))
-    out = extend_forest(g, {1, 2, 3, 4}, frozenset(), 0,
-                        EliminationForest((t1, t3)))
-    assert len(out) == 1
-    root = out.trees[0]
-    assert root.pivot == 0
-    assert root.scope == frozenset(range(5))
-    assert set(root.children) == {t1, t3}
-    assert validate_forest(g, out) == []
-
-
-def test_extend_forest_preserves_validity():
-    rng = random.Random(59)
-    for _ in range(60):
-        n = rng.randrange(2, 9)
-        g = random_digraph(rng, n)
-        s = rng.randrange(n)
-        base = frozenset(range(n)) - {s}
-        inner = crank_exact(
-            Digraph.from_edges(n, [(u, v) for u, v in g.edges
-                                   if u != s and v != s])).witness
-        assert validate_forest(g, inner, base) == []
-        out = extend_forest(g, base, frozenset(), s, inner)
-        assert validate_forest(g, out) == []
-
-
-def test_extend_forest_input_errors():
-    g = cycle(3)
-    with pytest.raises(InputError):
-        extend_forest(g, {0, 1}, frozenset(), 1, EliminationForest())
-    with pytest.raises(InputError):
-        extend_forest(g, {0, 1}, frozenset(), 9, EliminationForest())
-    bad = EliminationForest((EliminationNode(0, frozenset({0, 1})),))
-    with pytest.raises(InputError):
-        extend_forest(g, {0, 1}, frozenset(), 2, bad)
-
-
 def test_approx_acyclic_is_empty():
     res = crank_approx(chain(5))
     assert res.forest == EliminationForest()
@@ -164,17 +94,24 @@ def test_approx_is_deterministic():
         assert crank_approx(g, cfg) == crank_approx(g, cfg)
 
 
-@pytest.mark.parametrize("n, digest", [
-    (60, "fa079066709134698d856370e981f23f22ea4fac4d761713cdf15acbfa5e8b1f"),
-    (100, "bad3bfd2b45d32aa5fc2b313b198298bba4363376b8b07067946a9984a843fac"),
-    (150, "eefa4b1e96e3aa93a38831c9b014205121361d6311fd534d85a6dbe131946849"),
+@pytest.mark.parametrize("n, digest, log_digest", [
+    (60, "fa079066709134698d856370e981f23f22ea4fac4d761713cdf15acbfa5e8b1f",
+     "08154009248f4727018bdeaa041aa1131e886f3d7547338f299e2e199781dc48"),
+    (100, "bad3bfd2b45d32aa5fc2b313b198298bba4363376b8b07067946a9984a843fac",
+     "b5ab09e9219a47e05fd7ad4a39f0ad59353139789233d311c18164df581dae7e"),
+    (150, "eefa4b1e96e3aa93a38831c9b014205121361d6311fd534d85a6dbe131946849",
+     "15ff8dea575e8809f1b41788b8e7909a64d74c52e2a8232b4b6929e593240fdc"),
 ])
-def test_approx_forest_bytes_are_pinned(n, digest):
+def test_approx_forest_bytes_are_pinned(n, digest, log_digest):
     # Pins the canonical forest (pivots, child and root order), which
-    # validity alone does not fix.
+    # validity alone does not fix, and the separator log, whose order is
+    # the order the pieces are solved in.
     g = random_strongly_connected(random.Random(n), n, max_outdeg=3)
-    text = serialize_forest(crank_approx(g).forest)
+    res = crank_approx(g)
+    text = serialize_forest(res.forest)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    log = repr(res.separator_log)
+    assert hashlib.sha256(log.encode()).hexdigest() == log_digest
 
 
 def test_approx_separator_log_depths_grow_from_zero():

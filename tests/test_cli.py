@@ -127,6 +127,13 @@ def test_sh_regex(capsys):
     assert run(capsys, ["sh", "regex", "(a*b)*"]) == (0, "sh 2\n", "")
 
 
+def test_sh_regex_long_input(capsys):
+    # Concatenation nests left-deep and stars nest directly: both chains
+    # are as deep as the input is long.
+    assert run(capsys, ["sh", "regex", "a" * 5000]) == (0, "sh 0\n", "")
+    assert run(capsys, ["sh", "regex", "a" + "*" * 2000]) == (0, "sh 2000\n", "")
+
+
 def test_sh_regex_syntax_error(capsys):
     code, _, err = run(capsys, ["sh", "regex", "(a"])
     assert code == 1

@@ -21,6 +21,7 @@ from digrank import (
 from digrank.bitsets import mask_of
 from digrank.digraph import (
     format_vertex_set,
+    is_acyclic_within,
     nontrivial_sccs,
     nontrivial_sccs_within,
     parse_vertex_set,
@@ -95,7 +96,8 @@ def test_sccs_within_restricts_to_the_induced_subgraph():
         frozenset({0}), frozenset({1}), frozenset({2})]
 
 
-@pytest.mark.parametrize("fn", [sccs_within, nontrivial_sccs_within])
+@pytest.mark.parametrize("fn", [sccs_within, nontrivial_sccs_within,
+                                is_acyclic_within])
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_sccs_within_rejects_out_of_range_ids(fn, bad):
     with pytest.raises(InputError):

@@ -1,12 +1,15 @@
 """Elimination forests: validation, height, conversion, text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import (
+    Digraph,
     DomainError,
     EliminationForest,
     EliminationNode,
     ParseError,
+    crank_exact,
     forest_to_path_decomposition,
     parse_forest,
     serialize_forest,
@@ -14,7 +17,8 @@ from digrank import (
     validate_path_decomposition,
     width,
 )
-from digrank.elimination import all_nodes, forest_to_dot, height
+from digrank.digraph import nontrivial_sccs_within
+from digrank.elimination import all_nodes, height, pivot_tree
 
 from common import chain, clique, cycle, loop_vertex
 
@@ -145,8 +149,24 @@ def test_parse_errors():
         parse_forest("0\n")
 
 
-def test_forest_to_dot_shape():
-    out = forest_to_dot(K3_FOREST)
-    assert out.startswith("digraph {")
-    assert 'label="0 : {0,1,2}"' in out
-    assert "n0 -> n1;" in out
+@st.composite
+def graphs_with_priorities(draw):
+    n = draw(st.integers(0, 10))
+    adj = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    g = Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                               if adj[u * n + v]])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_priorities())
+def test_pivot_tree_is_valid_under_any_pivot_rule(case):
+    g, priority = case
+
+    def highest(scope):
+        return max(scope, key=priority.__getitem__)
+
+    forest = EliminationForest(tuple(
+        pivot_tree(g, c, highest) for c in nontrivial_sccs_within(g, g.vertices)))
+    assert validate_forest(g, forest) == []
+    assert height(forest) >= crank_exact(g).value
