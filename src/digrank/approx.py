@@ -21,28 +21,30 @@ and greedily elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .bitsets import bits, mask_of, set_of
-from .digraph import Digraph, induced, nontrivial_sccs_within, scc_mask_partition
+from .bitsets import bits, set_of
+from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
+                      scc_mask_partition)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
 from .errors import InputError, ResourceLimitError
+from .widths import least_separator
 
 # Above this piece size the base case stops calling the exact solver and
 # falls back to a smallest-pivot deletion tree.
 EXACT_BASE_LIMIT = 14
 EXACT_BASE_MEMO_LIMIT = 200_000
+# Above this piece size the "exact" separator mode falls back to greedy.
+EXACT_SEPARATOR_LIMIT = 12
 
 
 @dataclass(frozen=True)
 class ApproxConfig:
     base_threshold: int | str = "auto"   # piece size solved directly
     separator_mode: str = "exact"        # "exact" (below the limit) or "greedy"
-    exact_separator_limit: int = 12
 
     def resolved_threshold(self, n: int) -> int:
         if self.base_threshold == "auto":
@@ -66,31 +68,22 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
                             config: ApproxConfig | None = None) -> frozenset[int]:
     """Nonempty S inside W with every SCC of the subgraph on W - S at most
     ceil(3|W|/4) vertices.  Exact minimum (lexicographically least among
-    minimums) up to exact_separator_limit, greedy beyond or when asked.
+    minimums) up to EXACT_SEPARATOR_LIMIT, greedy beyond or when asked.
 
     W is expected to induce a strongly connected subgraph with an edge;
     the result is well defined regardless.
     """
     cfg = config or ApproxConfig()
     w = frozenset(w)
-    for v in w:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
+    w_mask = _vertex_mask(g, w)
     if not w:
         raise InputError("separator target must be nonempty")
     bound = -(-3 * len(w) // 4)  # ceil(3|W|/4)
     succ = g.succ_masks
     pred = g.pred_masks
-    w_mask = mask_of(w)
-    if cfg.separator_mode == "exact" and len(w) <= cfg.exact_separator_limit:
-        verts = sorted(w)
-        for k in range(1, len(w) + 1):
-            for combo in itertools.combinations(verts, k):
-                rest = w_mask & ~mask_of(combo)
-                if all(c.bit_count() <= bound
-                       for c in scc_mask_partition(succ, pred, rest)):
-                    return frozenset(combo)
-        raise AssertionError("unreachable: S = W always qualifies")
+    if cfg.separator_mode == "exact" and len(w) <= EXACT_SEPARATOR_LIMIT:
+        return set_of(least_separator(g, w_mask, range(1, len(w) + 1),
+                                      lambda k: bound))
     # Greedy: repeatedly delete the vertex whose removal shrinks the largest
     # remaining SCC the most, ties to the smallest id.  At least one vertex
     # is always deleted so the caller's recursion makes progress.

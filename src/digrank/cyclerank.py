@@ -74,10 +74,11 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
     """Cycle rank with an optimal elimination forest witness.
 
     One subproblem per nontrivial strongly connected subset X: the best
-    rank of X over pivot choices, where pivoting on x costs 1 if X minus x
-    is acyclic and 1 plus the maximum over the nontrivial components of
-    X minus x otherwise.  Subsets are discovered lazily from the top, so
-    only reachable subsets are ever materialized.
+    rank of X over pivot choices, where pivoting on x costs 1 plus the
+    maximum over the nontrivial components of X minus x, found by one SCC
+    partition.  The least cost, 1, means X minus x is acyclic; the loop
+    stops at the first such pivot.  Subsets are discovered lazily from the
+    top, so only reachable subsets are ever materialized.
 
     memo_limit aborts with ResourceLimitError once the table would exceed
     that many subsets.  Pivot ties prefer the smallest vertex id.
@@ -102,21 +103,17 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
             low = m & -m
             m ^= low
             x = low.bit_length() - 1
-            rest = x_mask ^ low
-            if acyclic_mask(succ, rest):
-                best = 1
-                best_pivot = x
-                break  # 1 is the least any pivot can cost
             val = 0
-            for comp in scc_mask_partition(succ, pred, rest):
+            for comp in scc_mask_partition(succ, pred, x_mask ^ low):
                 if comp.bit_count() > 1 or comp & loops:
                     sub = solve(comp)
                     if sub > val:
                         val = sub
             val += 1
             if val < best:
-                best = val
-                best_pivot = x
+                best, best_pivot = val, x
+            if val == 1:
+                break  # X - x is acyclic: 1 is the least any pivot can cost
         if memo_limit is not None and len(memo) >= memo_limit:
             raise ResourceLimitError(
                 f"crank_exact memo limit {memo_limit} exceeded", partial=len(memo))

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .errors import InputError, ParseError
 
 RESERVED = set("#@+*()")
+MAX_PAREN_DEPTH = 100  # parse_regex spends 4 frames per level of nesting
 
 
 class Regex:
@@ -60,6 +61,7 @@ def parse_regex(text: str, alphabet: frozenset[str] | None = None) -> Regex:
     With ``alphabet`` given, symbols outside it are rejected.
     """
     pos = 0
+    depth = 0
 
     def peek() -> str | None:
         return text[pos] if pos < len(text) else None
@@ -93,16 +95,20 @@ def parse_regex(text: str, alphabet: frozenset[str] | None = None) -> Regex:
         return node
 
     def parse_atom() -> Regex:
-        nonlocal pos
+        nonlocal pos, depth
         c = peek()
         if c is None:
             raise error("unexpected end of input")
         if c == "(":
+            if depth == MAX_PAREN_DEPTH:
+                raise error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
             pos += 1
+            depth += 1
             node = parse_union()
             if peek() != ")":
                 raise error("expected ')'")
             pos += 1
+            depth -= 1
             return node
         if c == "#":
             pos += 1

@@ -26,17 +26,19 @@ with R_k(n) = n for n <= k.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, set_of
 from .digraph import (
     Digraph,
+    _vertex_mask,
     format_vertex_set,
     parse_vertex_set,
     scc_mask_partition,
     sccs_within,
 )
-from .errors import CapacityError, DomainError, InputError, ParseError
+from .errors import CapacityError, InputError, ParseError
 
 DPW_VERTEX_LIMIT = 20
 SNUM_VERTEX_LIMIT = 15
@@ -82,29 +84,6 @@ def width(bags: Bags) -> int:
     if not bags:
         return 0
     return max(len(b) for b in bags) - 1
-
-
-def normalize(g: Digraph, bags: Bags) -> Bags:
-    """Equivalent decomposition whose consecutive bags differ by exactly one
-    vertex inserted or deleted.  Width and validity are preserved.
-    """
-    problems = validate_path_decomposition(g, bags)
-    if problems:
-        raise DomainError("invalid path decomposition: " + "; ".join(problems))
-    if not bags:
-        return []
-    out = [bags[0]]
-    for nxt in bags[1:]:
-        cur = out[-1]
-        if nxt == cur:
-            continue
-        for v in sorted(cur - nxt):
-            cur = cur - {v}
-            out.append(cur)
-        for v in sorted(nxt - cur):
-            cur = cur | {v}
-            out.append(cur)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +181,10 @@ def dpw_by_layout_enumeration(g: Digraph, limit: int = 7) -> int:
 
 @dataclass(frozen=True)
 class SeparatorCertificate:
+    """What min_weak_separator returns, kept as a certificate so that
+    is_weak_balanced_separator(g, c.target, c.separator) re-checks it
+    independently of the search that found it."""
+
     target: frozenset[int]
     separator: frozenset[int]
 
@@ -223,6 +206,26 @@ def is_weak_balanced_separator(g: Digraph, u: frozenset[int] | set[int],
     return all(len(c) <= bound for c in sccs_within(g, rest))
 
 
+def least_separator(g: Digraph, u_mask: int, sizes: Iterable[int],
+                    bound_of: Callable[[int], int]) -> int:
+    """Mask of the first S inside U, by size in the order given and then
+    lexicographically, leaving every SCC of U - S at most bound_of(|S|)
+    vertices; one SCC partition per candidate.  The sizes must reach |U|,
+    where S = U always qualifies.
+    """
+    succ = g.succ_masks
+    pred = g.pred_masks
+    verts = list(bits(u_mask))
+    for k in sizes:
+        bound = bound_of(k)
+        for combo in itertools.combinations(verts, k):
+            s_mask = mask_of(combo)
+            if all(c.bit_count() <= bound
+                   for c in scc_mask_partition(succ, pred, u_mask & ~s_mask)):
+                return s_mask
+    raise AssertionError("unreachable: S = U always qualifies")
+
+
 def min_weak_separator(g: Digraph, u: frozenset[int] | set[int],
                        limit: int = SNUM_VERTEX_LIMIT) -> SeparatorCertificate:
     """Smallest weak balanced separator for U; ties go to the
@@ -231,12 +234,10 @@ def min_weak_separator(g: Digraph, u: frozenset[int] | set[int],
     if g.n > limit:
         raise CapacityError(f"min_weak_separator limited to n <= {limit}, got n={g.n}")
     u = frozenset(u)
-    verts = sorted(u)
-    for k in range(len(u) + 1):
-        for combo in itertools.combinations(verts, k):
-            if is_weak_balanced_separator(g, u, frozenset(combo)):
-                return SeparatorCertificate(u, frozenset(combo))
-    raise AssertionError("unreachable: S = U is always a separator")
+    u_mask = _vertex_mask(g, u)
+    m = len(u)
+    s_mask = least_separator(g, u_mask, range(m + 1), lambda k: (m - k + 1) // 2)
+    return SeparatorCertificate(u, set_of(s_mask))
 
 
 def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:
@@ -248,41 +249,13 @@ def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:
     """
     if g.n > limit:
         raise CapacityError(f"snum_exact limited to n <= {limit}, got n={g.n}")
-    succ = g.succ_masks
-    pred = g.pred_masks
     best = 0
-
-    def sccs_small_enough(rest_mask: int, bound: int) -> bool:
-        return all(comp.bit_count() <= bound
-                   for comp in scc_mask_partition(succ, pred, rest_mask))
-
-    def min_sep_size_exceeds(u_mask: int, cap: int) -> int | None:
-        """None if some separator of size <= cap exists, else the true
-        minimum separator size for U (which is > cap)."""
-        uverts = list(bits(u_mask))
-        m = len(uverts)
-        for k in range(min(cap, m) + 1):
-            bound = (m - k + 1) // 2
-            for combo in itertools.combinations(uverts, k):
-                if sccs_small_enough(u_mask & ~mask_of(combo), bound):
-                    return None
-        for k in range(cap + 1, m + 1):
-            bound = (m - k + 1) // 2
-            for combo in itertools.combinations(uverts, k):
-                if sccs_small_enough(u_mask & ~mask_of(combo), bound):
-                    return k
-        raise AssertionError("unreachable: S = U is always a separator")
-
-    subsets_by_size: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for sub in range(1, 1 << g.n):
-        subsets_by_size[sub.bit_count()].append(sub)
-    for size in range(g.n, 0, -1):
-        if size <= best:
+    for u_mask in sorted(range(1, 1 << g.n), key=int.bit_count, reverse=True):
+        m = u_mask.bit_count()
+        if m <= best:
             break  # min separator size never exceeds |U|
-        for u_mask in subsets_by_size[size]:
-            got = min_sep_size_exceeds(u_mask, best)
-            if got is not None:
-                best = got
+        s_mask = least_separator(g, u_mask, range(m + 1), lambda k: (m - k + 1) // 2)
+        best = max(best, s_mask.bit_count())
     return best
 
 

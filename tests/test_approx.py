@@ -1,6 +1,7 @@
 """Separator-based cycle rank approximation."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -50,6 +51,23 @@ def test_separator_greedy_mode_is_feasible():
         s = find_balanced_separator(g, frozenset(range(n)), cfg)
         assert s
         assert residual_sccs_small(g, range(n), s, -(-3 * n // 4))
+
+
+def test_exact_separator_is_the_first_accepted_combination():
+    # Oracle: residual_sccs_small over nonempty combinations, by size and
+    # then lexicographically.
+    rng = random.Random(59)
+    for _ in range(150):
+        n = rng.randrange(1, 11)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5))
+        w = frozenset(v for v in range(n) if rng.random() < 0.8) or {0}
+        bound = -(-3 * len(w) // 4)
+        first = next(
+            frozenset(combo)
+            for k in range(1, len(w) + 1)
+            for combo in itertools.combinations(sorted(w), k)
+            if residual_sccs_small(g, w, frozenset(combo), bound))
+        assert find_balanced_separator(g, w) == first
 
 
 def test_separator_input_errors():

@@ -134,6 +134,15 @@ def test_sh_regex_long_input(capsys):
     assert run(capsys, ["sh", "regex", "a" + "*" * 2000]) == (0, "sh 2000\n", "")
 
 
+def test_sh_regex_nesting_is_capped(capsys):
+    deep = "(" * 3000 + "a" + ")" * 3000
+    code, out, err = run(capsys, ["sh", "regex", deep])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    at_cap = "(" * 100 + "a*" + ")" * 100
+    assert run(capsys, ["sh", "regex", at_cap]) == (0, "sh 1\n", "")
+
+
 def test_sh_regex_syntax_error(capsys):
     code, _, err = run(capsys, ["sh", "regex", "(a"])
     assert code == 1

@@ -4,6 +4,7 @@ crank_bruteforce is the oracle here: a literal, unoptimized transcription
 of the defining recursion.  Everything faster is checked against it.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -21,8 +22,12 @@ from digrank import (
     validate_forest,
 )
 from digrank.cyclerank import count_sc_subsets_bruteforce
-from digrank.elimination import height
-from digrank.generate import random_bounded_outdegree, random_digraph
+from digrank.elimination import height, serialize_forest
+from digrank.generate import (
+    random_bounded_outdegree,
+    random_digraph,
+    random_strongly_connected,
+)
 
 from common import chain, clique, cycle, edgeless, loop_vertex
 
@@ -80,6 +85,21 @@ def test_exact_witness_is_valid_and_tight():
         res = crank_exact(g)
         assert validate_forest(g, res.witness) == []
         assert height(res.witness) == res.value
+
+
+@pytest.mark.parametrize("n, value, memo_size, digest", [
+    (15, 3, 456, "2f19c71a998c9d51042c6a7ad4191859a20fac1cbf1956a2c2d09581268de71c"),
+    (16, 3, 719, "cf31bb9bece4bbd021114f0cefb1608f28af3d8f459377d83c128f4f821d3c9e"),
+    (17, 3, 641, "cbe5dae3bcfc2a48e785529b6ff3c504c6661cddacde4356bb4331e514d4ec8b"),
+])
+def test_exact_witness_bytes_are_pinned(n, value, memo_size, digest):
+    # Pins the smallest-pivot tie-break, which validity and height alone
+    # do not fix, on the sparse sizes the benchmark solves.
+    g = random_strongly_connected(random.Random(n), n, max_outdeg=2)
+    res = crank_exact(g)
+    assert (res.value, res.memo_size) == (value, memo_size)
+    text = serialize_forest(res.witness)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_deletion_never_increases_crank():

@@ -12,7 +12,6 @@ import pytest
 from digrank import (
     CapacityError,
     Digraph,
-    DomainError,
     InputError,
     check_bounds,
     crank_exact,
@@ -27,7 +26,6 @@ from digrank import (
 from digrank.generate import random_digraph
 from digrank.widths import (
     dpw_by_layout_enumeration,
-    normalize,
     parse_path_decomposition,
     serialize_path_decomposition,
 )
@@ -78,30 +76,6 @@ def test_width_values():
     assert width(bags({0, 1}, {0, 2})) == 1
     assert width(bags({0})) == 0
     assert width([]) == 0
-
-
-def test_normalize_c3():
-    out = normalize(cycle(3), bags({0, 1}, {0, 2}))
-    assert out == bags({0, 1}, {0}, {0, 2})
-    assert width(out) == 1
-
-
-def test_normalize_consecutive_bags_differ_by_one():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randrange(1, 8)
-        g = random_digraph(rng, n)
-        value, dec = dpw_exact(g)
-        out = normalize(g, dec)
-        assert validate_path_decomposition(g, out) == []
-        assert width(out) == width(dec) == value
-        for a, b in zip(out, out[1:]):
-            assert len(a ^ b) == 1
-
-
-def test_normalize_rejects_invalid_input():
-    with pytest.raises(DomainError):
-        normalize(chain(3), bags({0}, {1}))
 
 
 def test_decomposition_text_roundtrip():
@@ -159,6 +133,10 @@ def test_separator_containment_errors():
         is_weak_balanced_separator(cycle(3), {0, 1}, {2})
     with pytest.raises(InputError):
         is_weak_balanced_separator(cycle(3), {0, 9}, {0})
+    with pytest.raises(InputError):
+        min_weak_separator(cycle(3), {0, -1})
+    with pytest.raises(InputError):
+        min_weak_separator(cycle(3), {0, 3})
 
 
 def test_bigger_separators_can_fail():
@@ -192,6 +170,22 @@ def test_min_separator_tie_break():
     assert cert.separator == frozenset({0})
     assert cert.target == frozenset(range(4))
     assert min_weak_separator(clique(3), frozenset(range(3))).separator == {0, 1}
+
+
+def test_min_separator_is_the_first_accepted_combination():
+    # Oracle: the definitional check, tried by size and then
+    # lexicographically, independent of the mask search.
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5))
+        u = frozenset(v for v in range(n) if rng.random() < 0.8)
+        first = next(
+            frozenset(combo)
+            for k in range(len(u) + 1)
+            for combo in itertools.combinations(sorted(u), k)
+            if is_weak_balanced_separator(g, u, frozenset(combo)))
+        assert min_weak_separator(g, u).separator == first
 
 
 def test_snum_pinned_values():
