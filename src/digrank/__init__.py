@@ -3,7 +3,7 @@ computation with elimination-forest witnesses, directed pathwidth, weak
 separator numbers, feedback vertex sets, strongly connected subset
 censuses, and star height of bideterministic languages."""
 
-from .approx import ApproxConfig, ApproxResult, crank_approx, find_balanced_separator
+from .approx import ApproxResult, crank_approx, find_balanced_separator
 from .automata import (Dfa, Nfa, binarize, binarize_word, is_bideterministic,
                        is_deterministic, nfa_accepts, parse_automaton,
                        regex_to_nfa, serialize_automaton, star_height_bidet,
@@ -26,7 +26,7 @@ from .widths import (BoundsReport, check_bounds, dpw_exact,
                      snum_exact, validate_path_decomposition, width)
 
 __all__ = [
-    "ApproxConfig", "ApproxResult", "BoundsReport", "CapacityError",
+    "ApproxResult", "BoundsReport", "CapacityError",
     "CrankResult", "Dfa", "DfvsResult", "Digraph", "DigrankError",
     "DomainError", "EliminationForest", "EliminationNode", "InputError",
     "Nfa", "ParseError", "Regex", "ResourceLimitError", "SubsetCensus",

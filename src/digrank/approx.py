@@ -11,12 +11,13 @@ the spliced vertex: a merged set keeps the last vertex spliced into it as
 its root.  Every scope below W is an SCC of W - P for the pivots P above
 it, all in S; so a scope without a vertex of S is an SCC of W - S, that
 is, a piece.  Pieces at or below a size threshold (by default
-max(1, ceil((log2 n)^1.5))) are solved outright.
+max(1, ceil((log2 n)^1.5))) end the recursion: those of at most
+EXACT_BASE_LIMIT vertices are solved exactly, larger ones take the
+smallest-pivot tree.
 
 Heights are within a polylogarithmic factor of optimal for graphs whose
 balanced separators are small; no approximation ratio is claimed here
-because the separators themselves are found exactly only on small pieces
-and greedily elsewhere.
+because the separators are found greedily, not minimized.
 """
 
 from __future__ import annotations
@@ -31,30 +32,11 @@ from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
 from .errors import InputError, ResourceLimitError
-from .widths import least_separator
 
 # Above this piece size the base case stops calling the exact solver and
 # falls back to a smallest-pivot deletion tree.
 EXACT_BASE_LIMIT = 14
 EXACT_BASE_MEMO_LIMIT = 200_000
-# Above this piece size the "exact" separator mode falls back to greedy.
-EXACT_SEPARATOR_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class ApproxConfig:
-    base_threshold: int | str = "auto"   # piece size solved directly
-    separator_mode: str = "exact"        # "exact" (below the limit) or "greedy"
-
-    def resolved_threshold(self, n: int) -> int:
-        if self.base_threshold == "auto":
-            if n <= 1:
-                return 1
-            return max(1, math.ceil(math.log2(n) ** 1.5))
-        t = int(self.base_threshold)
-        if t < 1:
-            raise InputError(f"base threshold must be >= 1, got {t}")
-        return t
 
 
 @dataclass(frozen=True)
@@ -64,16 +46,15 @@ class ApproxResult:
     separator_log: tuple[tuple[int, int], ...] = ()  # (recursion depth, |S|)
 
 
-def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
-                            config: ApproxConfig | None = None) -> frozenset[int]:
+def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozenset[int]:
     """Nonempty S inside W with every SCC of the subgraph on W - S at most
-    ceil(3|W|/4) vertices.  Exact minimum (lexicographically least among
-    minimums) up to EXACT_SEPARATOR_LIMIT, greedy beyond or when asked.
+    ceil(3|W|/4) vertices, built greedily: repeatedly delete the vertex
+    whose removal shrinks the largest remaining SCC the most, ties to the
+    smallest id.  S is feasible but not always minimum.
 
     W is expected to induce a strongly connected subgraph with an edge;
     the result is well defined regardless.
     """
-    cfg = config or ApproxConfig()
     w = frozenset(w)
     w_mask = _vertex_mask(g, w)
     if not w:
@@ -81,12 +62,8 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
     bound = -(-3 * len(w) // 4)  # ceil(3|W|/4)
     succ = g.succ_masks
     pred = g.pred_masks
-    if cfg.separator_mode == "exact" and len(w) <= EXACT_SEPARATOR_LIMIT:
-        return set_of(least_separator(g, w_mask, range(1, len(w) + 1),
-                                      lambda k: bound))
-    # Greedy: repeatedly delete the vertex whose removal shrinks the largest
-    # remaining SCC the most, ties to the smallest id.  At least one vertex
-    # is always deleted so the caller's recursion makes progress.
+    # At least one vertex is always deleted so the caller's recursion
+    # makes progress.
     chosen = 0
     rest = w_mask
     while True:
@@ -112,20 +89,21 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int],
     return set_of(chosen)
 
 
-def crank_approx(g: Digraph, config: ApproxConfig | None = None) -> ApproxResult:
+def crank_approx(g: Digraph, *, base_threshold: int | str = "auto") -> ApproxResult:
     """Approximate cycle rank: a valid elimination forest plus its height.
 
-    No instance size limit; work is polynomial except for the exact solves
-    on pieces at most EXACT_BASE_LIMIT large.
+    Pieces of at most ``base_threshold`` vertices end the recursion; "auto"
+    means max(1, ceil((log2 n)^1.5)).  No instance size limit; work is
+    polynomial except for the exact solves on pieces at most
+    EXACT_BASE_LIMIT large.
     """
-    cfg = config or ApproxConfig()
-    threshold = cfg.resolved_threshold(g.n)
+    threshold = _resolve_threshold(base_threshold, g.n)
     log: list[tuple[int, int]] = []
 
     def tree_for(w: frozenset[int], depth: int) -> EliminationNode:
         if len(w) <= threshold:
             return _base_tree(g, w)
-        s = find_balanced_separator(g, w, cfg)
+        s = find_balanced_separator(g, w)
         log.append((depth, len(s)))
         pieces = {c: tree_for(c, depth + 1)
                   for c in nontrivial_sccs_within(g, w - s)}
@@ -134,6 +112,21 @@ def crank_approx(g: Digraph, config: ApproxConfig | None = None) -> ApproxResult
     forest = EliminationForest(tuple(
         tree_for(c, 0) for c in nontrivial_sccs_within(g, g.vertices)))
     return ApproxResult(forest, height(forest), tuple(log))
+
+
+def _resolve_threshold(base_threshold: int | str, n: int) -> int:
+    if base_threshold == "auto":
+        if n <= 1:
+            return 1
+        return max(1, math.ceil(math.log2(n) ** 1.5))
+    try:
+        t = int(base_threshold)
+    except ValueError:
+        raise InputError(f"base threshold must be an integer or 'auto', "
+                         f"got {base_threshold!r}") from None
+    if t < 1:
+        raise InputError(f"base threshold must be >= 1, got {t}")
+    return t
 
 
 def _base_tree(g: Digraph, w: frozenset[int]) -> EliminationNode:

@@ -82,13 +82,6 @@ class Dfa(Nfa):
             seen.add((p, sym))
 
 
-def as_dfa(a: Nfa) -> Dfa:
-    """Reinterpret as a DFA, validating determinism."""
-    if isinstance(a, Dfa):
-        return a
-    return Dfa(a.states, a.alphabet, a.transitions, a.initial, a.finals)
-
-
 def is_deterministic(a: Nfa) -> bool:
     seen: set[tuple[int, str]] = set()
     for p, sym, q in a.transitions:

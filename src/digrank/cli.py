@@ -15,7 +15,7 @@ import time
 import warnings
 from importlib import metadata
 
-from .approx import ApproxConfig, crank_approx
+from .approx import crank_approx
 from .automata import (binarize, parse_automaton, serialize_automaton,
                        star_height_bidet, walk_language_automaton)
 from .cyclerank import count_sc_subsets, crank_bruteforce, crank_exact, sc_subset_bound
@@ -58,9 +58,7 @@ def _build_parser() -> _Parser:
     crank.add_argument("mode", choices=["exact", "brute", "approx"])
     crank.add_argument("graph", help="digraph file")
     crank.add_argument("--base-threshold", default="auto",
-                       help="approx: subproblem size solved directly (int or 'auto')")
-    crank.add_argument("--separator", choices=["exact", "greedy"], default="exact",
-                       help="approx: balanced separator search strategy")
+                       help="approx: piece size that ends the recursion (int or 'auto')")
 
     forest = sub.add_parser("forest", help="elimination forest utilities",
                             parents=[common])
@@ -146,15 +144,7 @@ def _cmd_crank(args) -> int:
         if out:
             print(out, end="")
         return 0
-    threshold = args.base_threshold
-    if threshold != "auto":
-        try:
-            threshold = int(threshold)
-        except ValueError:
-            raise InputError(f"--base-threshold must be an integer or 'auto', "
-                             f"got {threshold!r}") from None
-    res = crank_approx(g, ApproxConfig(base_threshold=threshold,
-                                       separator_mode=args.separator))
+    res = crank_approx(g, base_threshold=args.base_threshold)
     print(_metric(args.format, "height", res.height))
     out = serialize_forest(res.forest)
     if out:

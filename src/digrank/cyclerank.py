@@ -126,6 +126,9 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
         v = solve(mask_of(comp))
         if v > value:
             value = v
+    # solve reaches itself through its closure, a reference cycle that
+    # would keep the memo alive until the next garbage collection.
+    solve = None
 
     def memo_pivot(scope: frozenset[int]) -> int:
         return memo[mask_of(scope)] & 0x7F

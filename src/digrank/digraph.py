@@ -214,10 +214,6 @@ def nontrivial_sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozense
     return [c for c in sccs_within(g, vertices) if is_nontrivial_component(g, c)]
 
 
-def nontrivial_sccs(g: Digraph) -> list[frozenset[int]]:
-    return nontrivial_sccs_within(g, g.vertices)
-
-
 def is_acyclic_within(g: Digraph, vertices: Iterable[int]) -> bool:
     return acyclic_mask(g.succ_masks, _vertex_mask(g, vertices))
 

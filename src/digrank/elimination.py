@@ -194,14 +194,12 @@ def forest_to_path_decomposition(g: Digraph, forest: EliminationForest,
 
 def serialize_forest(forest: EliminationForest) -> str:
     lines: list[str] = []
-
-    def emit(node: EliminationNode, depth: int):
+    # Preorder on an explicit stack, so depth is not bounded by recursion.
+    todo = [(t, 0) for t in reversed(forest.trees)]
+    while todo:
+        node, depth = todo.pop()
         lines.append("  " * depth + f"{node.pivot} {format_vertex_set(node.scope)}")
-        for c in node.children:
-            emit(c, depth + 1)
-
-    for tree in forest.trees:
-        emit(tree, 0)
+        todo.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -227,9 +225,11 @@ def parse_forest(text: str) -> EliminationForest:
         entries.append((lineno, indent // 2, scope, pivot))
 
     roots: list[list] = []
+    nodes: list[list] = []  # in line order, so every parent before its children
     stack: list[tuple[int, list]] = []  # (depth, mutable node [pivot, scope, children])
     for lineno, depth, scope, pivot in entries:
         node = [pivot, scope, []]
+        nodes.append(node)
         while stack and stack[-1][0] >= depth:
             stack.pop()
         if depth == 0:
@@ -240,7 +240,8 @@ def parse_forest(text: str) -> EliminationForest:
             stack[-1][1][2].append(node)
         stack.append((depth, node))
 
-    def freeze(node: list) -> EliminationNode:
-        return EliminationNode(node[0], node[1], tuple(freeze(c) for c in node[2]))
-
-    return EliminationForest(tuple(freeze(r) for r in roots))
+    # Freezing in reverse line order finds every child already frozen, so
+    # depth is not bounded by recursion; the frozen node goes in slot 3.
+    for node in reversed(nodes):
+        node.append(EliminationNode(node[0], node[1], tuple(c[3] for c in node[2])))
+    return EliminationForest(tuple(r[3] for r in roots))

@@ -1,13 +1,11 @@
 """Separator-based cycle rank approximation."""
 
 import hashlib
-import itertools
 import random
 
 import pytest
 
 from digrank import (
-    ApproxConfig,
     EliminationForest,
     InputError,
     crank_approx,
@@ -15,6 +13,7 @@ from digrank import (
     find_balanced_separator,
     validate_forest,
 )
+from digrank.approx import _resolve_threshold
 from digrank.digraph import sccs_within
 from digrank.elimination import height, serialize_forest
 from digrank.generate import random_digraph, random_strongly_connected
@@ -43,31 +42,13 @@ def test_separator_k5_one_vertex_suffices():
 
 
 def test_separator_greedy_mode_is_feasible():
-    cfg = ApproxConfig(separator_mode="greedy")
     rng = random.Random(53)
     for _ in range(30):
         n = rng.randrange(2, 10)
         g = random_digraph(rng, n)
-        s = find_balanced_separator(g, frozenset(range(n)), cfg)
+        s = find_balanced_separator(g, frozenset(range(n)))
         assert s
         assert residual_sccs_small(g, range(n), s, -(-3 * n // 4))
-
-
-def test_exact_separator_is_the_first_accepted_combination():
-    # Oracle: residual_sccs_small over nonempty combinations, by size and
-    # then lexicographically.
-    rng = random.Random(59)
-    for _ in range(150):
-        n = rng.randrange(1, 11)
-        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5))
-        w = frozenset(v for v in range(n) if rng.random() < 0.8) or {0}
-        bound = -(-3 * len(w) // 4)
-        first = next(
-            frozenset(combo)
-            for k in range(1, len(w) + 1)
-            for combo in itertools.combinations(sorted(w), k)
-            if residual_sccs_small(g, w, frozenset(combo), bound))
-        assert find_balanced_separator(g, w) == first
 
 
 def test_separator_input_errors():
@@ -96,9 +77,8 @@ def test_approx_always_valid_and_above_exact():
     for _ in range(50):
         n = rng.randrange(1, 14)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5))
-        for cfg in (ApproxConfig(), ApproxConfig(base_threshold=1),
-                    ApproxConfig(base_threshold=1, separator_mode="greedy")):
-            res = crank_approx(g, cfg)
+        for threshold in ("auto", 1):
+            res = crank_approx(g, base_threshold=threshold)
             assert validate_forest(g, res.forest) == []
             assert height(res.forest) == res.height
             assert res.height >= crank_exact(g).value
@@ -108,11 +88,16 @@ def test_approx_is_deterministic():
     rng = random.Random(67)
     for _ in range(10):
         g = random_digraph(rng, 12, edge_prob=0.25)
-        cfg = ApproxConfig(base_threshold=2)
-        assert crank_approx(g, cfg) == crank_approx(g, cfg)
+        assert crank_approx(g, base_threshold=2) == crank_approx(g, base_threshold=2)
 
 
 @pytest.mark.parametrize("n, digest, log_digest", [
+    (12, "71425fc62c8bc173b0c49f9ab433d9ed1e05cda546688d89a8f21e4c29357f5c",
+     "6597395ce8ed7d3cd6072c40ffbe8388eaf7f291811250bb9fe2c27fb43c4d93"),
+    (14, "d79355746971a267f34b70147f1ad37cb886e921c1832b2a203206c662d6430b",
+     "5fabe507a970ee92f279344236c097dc14dd971ea02711cedc68759b34e8abf5"),
+    (30, "d0bb400417f7f2647ff56c30913cd297911158aba508a557d252b6532350f889",
+     "fcdbbc1011f3df99a58ba57957cedd5689a12df2a7231b0c91b687483e26d76e"),
     (60, "fa079066709134698d856370e981f23f22ea4fac4d761713cdf15acbfa5e8b1f",
      "08154009248f4727018bdeaa041aa1131e886f3d7547338f299e2e199781dc48"),
     (100, "bad3bfd2b45d32aa5fc2b313b198298bba4363376b8b07067946a9984a843fac",
@@ -134,15 +119,17 @@ def test_approx_forest_bytes_are_pinned(n, digest, log_digest):
 
 def test_approx_separator_log_depths_grow_from_zero():
     g = clique(9)
-    res = crank_approx(g, ApproxConfig(base_threshold=1))
+    res = crank_approx(g, base_threshold=1)
     assert res.separator_log
     assert res.separator_log[0][0] == 0
     assert all(size >= 1 for _, size in res.separator_log)
 
 
 def test_config_threshold_resolution():
-    assert ApproxConfig().resolved_threshold(1) == 1
-    assert ApproxConfig().resolved_threshold(16) == 8
-    assert ApproxConfig(base_threshold=3).resolved_threshold(100) == 3
+    assert _resolve_threshold("auto", 1) == 1
+    assert _resolve_threshold("auto", 16) == 8
+    assert _resolve_threshold(3, 100) == 3
     with pytest.raises(InputError):
-        ApproxConfig(base_threshold=0).resolved_threshold(5)
+        _resolve_threshold(0, 5)
+    with pytest.raises(InputError):
+        _resolve_threshold("x", 5)

@@ -34,7 +34,7 @@ from digrank import (
     validate_forest,
     walk_language_automaton,
 )
-from digrank.automata import as_dfa, edge_symbol
+from digrank.automata import edge_symbol
 from digrank.generate import (
     random_bideterministic,
     random_regex,
@@ -87,11 +87,6 @@ def test_dfa_validation():
         Dfa(2, ("a",), frozenset({(0, None, 1)}), 0, frozenset([1]))
     with pytest.raises(InputError):
         Dfa(2, ("a",), frozenset({(0, "a", 0), (0, "a", 1)}), 0, frozenset([1]))
-    assert as_dfa(a_cycle(3)) == a_cycle(3)
-    nondet = Nfa(2, ("a",), frozenset({(0, "a", 0), (0, "a", 1)}),
-                 0, frozenset([1]))
-    with pytest.raises(InputError):
-        as_dfa(nondet)
 
 
 def test_determinism_predicates():

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from digrank import serialize_digraph, serialize_forest
 from digrank.cli import main
+
+from common import bidirected_path, least_pivot_path_forest
 
 
 C4 = "digraph 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -45,11 +48,16 @@ def test_crank_approx(graph, capsys):
     assert out == "height 2\n0 {0,1,2}\n  1 {1,2}\n"
 
 
-def test_crank_approx_flag_validation(graph, capsys):
-    code, _, err = run(capsys, ["crank", "approx", "--base-threshold", "x",
-                                graph("k3.dg", K3)])
+@pytest.mark.parametrize("flags", [
+    ["--base-threshold", "x"],
+    ["--base-threshold", "0"],
+    ["--separator", "greedy"],  # the option no longer exists
+], ids=["threshold-x", "threshold-0", "separator"])
+def test_crank_approx_flag_validation(graph, capsys, flags):
+    code, _, err = run(capsys, ["crank", "approx", *flags, graph("k3.dg", K3)])
     assert code == 1
     assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_kv_format(graph, capsys):
@@ -62,6 +70,15 @@ def test_forest_validate_ok(graph, capsys):
     code, out, _ = run(capsys, ["forest", "validate", graph("c3.dg", C3),
                                 graph("f.txt", "0 {0,1,2}\n")])
     assert (code, out) == (0, "valid yes\n")
+
+
+def test_forest_validate_deep_forest(graph, capsys):
+    # 1200 levels: deeper than Python's default recursion limit.
+    n = 1201
+    path = graph("path.dg", serialize_digraph(bidirected_path(n)))
+    forest = graph("f.txt", serialize_forest(least_pivot_path_forest(n)))
+    code, out, err = run(capsys, ["forest", "validate", path, forest])
+    assert (code, out, err) == (0, "valid yes\n", "")
 
 
 def test_forest_validate_bad(graph, capsys):

@@ -22,7 +22,6 @@ from digrank.bitsets import mask_of
 from digrank.digraph import (
     format_vertex_set,
     is_acyclic_within,
-    nontrivial_sccs,
     nontrivial_sccs_within,
     parse_vertex_set,
     scc_mask_partition,
@@ -85,9 +84,9 @@ def test_scc_respects_all_cross_edges():
 
 def test_nontrivial_sccs():
     g = Digraph.from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
-    assert nontrivial_sccs(g) == [frozenset({0, 1})]
-    assert nontrivial_sccs(loop_vertex()) == [frozenset({0})]
-    assert nontrivial_sccs(chain(3)) == []
+    assert nontrivial_sccs_within(g, g.vertices) == [frozenset({0, 1})]
+    assert nontrivial_sccs_within(loop_vertex(), {0}) == [frozenset({0})]
+    assert nontrivial_sccs_within(chain(3), range(3)) == []
 
 
 def test_sccs_within_restricts_to_the_induced_subgraph():

@@ -20,7 +20,7 @@ from digrank import (
 from digrank.digraph import nontrivial_sccs_within
 from digrank.elimination import all_nodes, height, pivot_tree
 
-from common import chain, clique, cycle, loop_vertex
+from common import chain, clique, cycle, least_pivot_path_forest, loop_vertex
 
 
 def tree(pivot, scope, *children):
@@ -136,6 +136,21 @@ def test_parse_roundtrip():
     for forest in [EliminationForest(), C3_FOREST, K3_FOREST,
                    EliminationForest((tree(0, {0, 1}), tree(2, {2, 3})))]:
         assert parse_forest(serialize_forest(forest)) == forest
+
+
+def test_deep_forest_roundtrip():
+    # Deeper than Python's default recursion limit of 1000 frames.
+    forest = least_pivot_path_forest(1201)
+    text = serialize_forest(forest)
+    parsed = parse_forest(text)
+    assert height(parsed) == 1200
+
+    # Node equality recurses once per level, so compare the walks instead.
+    def shape(f):
+        return [(n.pivot, n.scope, len(n.children)) for n in all_nodes(f)]
+
+    assert shape(parsed) == shape(forest)
+    assert serialize_forest(parsed) == text
 
 
 def test_parse_errors():
