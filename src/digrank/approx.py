@@ -31,12 +31,11 @@ from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 
 # Above this piece size the base case stops calling the exact solver and
 # falls back to a smallest-pivot deletion tree.
 EXACT_BASE_LIMIT = 14
-EXACT_BASE_MEMO_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,8 @@ def _base_tree(g: Digraph, w: frozenset[int]) -> EliminationNode:
 
         mapping = sorted(w)
         sub = induced(g, w)
-        try:
-            res = crank_exact(sub, memo_limit=EXACT_BASE_MEMO_LIMIT)
-        except ResourceLimitError:
-            pass
-        else:
-            (root,) = res.witness.trees  # strongly connected piece: one tree
-            return _relabel(root, mapping)
+        (root,) = crank_exact(sub).witness.trees  # a strongly connected piece
+        return _relabel(root, mapping)
     return pivot_tree(g, w, min)
 
 

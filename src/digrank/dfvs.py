@@ -1,6 +1,7 @@
-"""Directed feedback vertex sets through their duality with maximal
-acyclic vertex sets: S is a minimal DFVS exactly when V - S is a maximal
-acyclic set, so enumerating one list yields the other by complementation.
+"""Directed feedback vertex sets (DFVS) by one depth-bounded branching
+search.  S is a minimal DFVS exactly when V - S is a maximal acyclic set,
+so maximal_acyclic_subsets complements the enumerated minimal sets, while
+min_dfvs deepens the search bound until it finds a set.
 
 Every vertex carrying a loop lies in every DFVS; min_dfvs reports these
 forced vertices separately.
@@ -10,20 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bits, mask_of, set_of
-from .digraph import Digraph, acyclic_mask, scc_mask_partition
-from .errors import CapacityError, InputError, ResourceLimitError
+from .bitsets import bits, set_of
+from .digraph import Digraph, _vertex_mask, acyclic_mask, scc_mask_partition
+from .errors import CapacityError, ResourceLimitError
 
 DFVS_VERTEX_LIMIT = 64
 
 
 def is_dfvs(g: Digraph, s) -> bool:
     """True iff deleting S leaves G acyclic."""
-    s = frozenset(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    keep = ((1 << g.n) - 1) & ~mask_of(s)
+    keep = ((1 << g.n) - 1) & ~_vertex_mask(g, s)
     return acyclic_mask(g.succ_masks, keep)
 
 
@@ -62,23 +59,21 @@ def _find_cycle(g: Digraph, sub: int) -> list[int] | None:
     return None
 
 
-def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
-    """All inclusion-maximal A with the subgraph on A acyclic, each once,
-    sorted by their sorted vertex tuples.
+def _feedback_masks(g: Digraph, k: int, cap: int | None = None) -> set[int]:
+    """Masks X with G - X acyclic, found by branching on at most k vertices.
 
-    Recursive extension: branch on the vertices of a cycle of the residual
-    graph, excluding one per branch while forbidding the previously tried
-    ones, which reaches every minimal feedback set exactly once; leaves
-    that correspond to non-minimal exclusions are filtered out.  ``cap``
-    aborts with ResourceLimitError once more candidate sets than that have
-    been collected.
+    Branch on the vertices of a cycle of the residual graph, excluding one
+    per branch and forbidding the ones tried before it; a residual with a
+    cycle branches only while fewer than k vertices are excluded.  Taking on
+    each cycle its first vertex of a minimal feedback set X never forbids a
+    vertex of X, so X is reached in exactly |X| steps.  ``cap`` aborts with
+    ResourceLimitError once more sets than that have been found.
     """
     if g.n > DFVS_VERTEX_LIMIT:
         raise CapacityError(
-            f"maximal_acyclic_subsets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
-    succ = g.succ_masks
+            f"feedback vertex sets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
     full = (1 << g.n) - 1
-    found: set[int] = set()  # masks of excluded sets X with residual acyclic
+    found: set[int] = set()
     stack: list[tuple[int, int]] = [(0, 0)]  # (excluded X, forbidden P)
     while stack:
         excluded, forbidden = stack.pop()
@@ -87,7 +82,9 @@ def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozense
             found.add(excluded)
             if cap is not None and len(found) > cap:
                 raise ResourceLimitError(
-                    f"maximal acyclic subset cap {cap} exceeded", partial=len(found))
+                    f"feedback set cap {cap} exceeded", partial=len(found))
+            continue
+        if excluded.bit_count() >= k:
             continue
         banned = forbidden
         for c in cycle:
@@ -95,23 +92,26 @@ def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozense
             if not banned & cbit:
                 stack.append((excluded | cbit, banned))
             banned |= cbit
-
-    result = []
-    for excluded in found:
-        residual = full & ~excluded
-        # X minimal as a feedback set <=> residual maximal as an acyclic set
-        if all(not acyclic_mask(succ, residual | (1 << v)) for v in bits(excluded)):
-            result.append(set_of(residual))
-    result.sort(key=sorted)
-    return result
+    return found
 
 
 def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
-    """All minimal directed feedback vertex sets, canonically sorted."""
-    full = frozenset(g.vertices)
-    sets = [full - a for a in maximal_acyclic_subsets(g, cap=cap)]
+    """All minimal directed feedback vertex sets, canonically sorted; a set
+    the search finds is minimal when putting back any vertex makes a cycle."""
+    succ = g.succ_masks
+    full = (1 << g.n) - 1
+    sets = [set_of(x) for x in _feedback_masks(g, g.n, cap)
+            if all(not acyclic_mask(succ, full & ~x | (1 << v)) for v in bits(x))]
     sets.sort(key=sorted)
     return sets
+
+
+def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
+    """All inclusion-maximal acyclic vertex sets, canonically sorted."""
+    full = frozenset(g.vertices)
+    result = [full - s for s in minimal_dfvs_enumerate(g, cap=cap)]
+    result.sort(key=sorted)
+    return result
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,18 @@ class DfvsResult:
     minimum_set: frozenset[int]
     minimum_size: int
     forced: frozenset[int]  # loop vertices, members of every DFVS
-    enumeration: tuple[frozenset[int], ...] | None = None
 
 
-def min_dfvs(g: Digraph, cap: int | None = None,
-             include_enumeration: bool = False) -> DfvsResult:
-    """A minimum DFVS; ties by the lexicographically least vertex tuple."""
-    candidates = minimal_dfvs_enumerate(g, cap=cap)
-    best = min(candidates, key=lambda s: (len(s), sorted(s)))
-    forced = set_of(g.loop_mask)
-    return DfvsResult(best, len(best), forced,
-                      tuple(candidates) if include_enumeration else None)
+def min_dfvs(g: Digraph) -> DfvsResult:
+    """A minimum DFVS; ties by the lexicographically least vertex tuple.
+
+    Iterative deepening on k.  _feedback_masks(g, k) finds only feedback
+    sets of at most k vertices, and every minimal one that small.  At the
+    least k that finds one, no smaller set exists, so each set found is a
+    minimum set; every minimum set is minimal, so all of them are found.
+    """
+    k = 0
+    while not (found := _feedback_masks(g, k)):
+        k += 1
+    best = min((set_of(x) for x in found), key=sorted)
+    return DfvsResult(best, k, set_of(g.loop_mask))

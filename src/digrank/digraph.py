@@ -237,10 +237,7 @@ def induced(g: Digraph, vertices: Iterable[int]) -> Digraph:
     New vertex i corresponds to sorted(vertices)[i]; the relabeling is
     therefore recoverable from the argument alone.
     """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
+    vs = list(bits(_vertex_mask(g, vertices)))
     rank = {v: i for i, v in enumerate(vs)}
     keep = set(vs)
     return Digraph(len(vs), frozenset((rank[u], rank[v]) for u, v in g.edges

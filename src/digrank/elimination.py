@@ -39,11 +39,27 @@ from .digraph import (
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EliminationNode:
     pivot: int
     scope: frozenset[int]
     children: tuple["EliminationNode", ...] = ()
+
+    # Comparison walks an explicit stack and hashing looks at the root
+    # only, so neither is bounded by the recursion limit on deep trees.
+    def __eq__(self, other):
+        if not isinstance(other, EliminationNode):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if (a.pivot, a.scope, len(a.children)) != (b.pivot, b.scope, len(b.children)):
+                return False
+            todo.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        return hash((self.pivot, self.scope))
 
 
 @dataclass(frozen=True)

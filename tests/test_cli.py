@@ -251,10 +251,12 @@ def test_missing_file_exit_1(capsys):
     assert "cannot read" in err
 
 
-def test_capacity_exit_3(graph, capsys):
-    big = "digraph 25\n" + "".join(
-        f"{i} {(i + 1) % 25}\n" for i in range(25))
-    code, _, err = run(capsys, ["dpw", graph("big.dg", big)])
+@pytest.mark.parametrize("argv,n", [(["dpw"], 25), (["dfvs", "min"], 65)],
+                         ids=["dpw", "dfvs-min"])
+def test_capacity_exit_3(graph, capsys, argv, n):
+    big = f"digraph {n}\n" + "".join(
+        f"{i} {(i + 1) % n}\n" for i in range(n))
+    code, _, err = run(capsys, argv + [graph("big.dg", big)])
     assert code == 3
     assert err.startswith("error:")
 

@@ -21,7 +21,7 @@ from digrank import (
     min_dfvs,
     minimal_dfvs_enumerate,
 )
-from digrank.generate import random_digraph
+from digrank.generate import random_digraph, random_strongly_connected
 
 from common import chain, clique, cycle, edgeless, loop_vertex
 
@@ -124,18 +124,27 @@ def test_min_dfvs_matches_subset_bruteforce():
         n = rng.randrange(1, 9)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
                            allow_loops=True)
-        best = min(
-            (len(c) for r in range(n + 1)
-             for c in itertools.combinations(range(n), r)
-             if is_dfvs(g, frozenset(c))))
+        # combinations come by size, then lexicographically: the first
+        # feedback set is the tie-break winner
+        best = next(frozenset(c) for r in range(n + 1)
+                    for c in itertools.combinations(range(n), r)
+                    if is_dfvs(g, frozenset(c)))
         res = min_dfvs(g)
-        assert res.minimum_size == best
-        assert is_dfvs(g, res.minimum_set)
+        assert res.minimum_size == len(best)
+        assert res.minimum_set == best
         assert res.forced <= res.minimum_set
 
 
-def test_min_dfvs_optional_enumeration():
-    res = min_dfvs(cycle(3), include_enumeration=True)
-    assert res.enumeration == (
-        frozenset({0}), frozenset({1}), frozenset({2}))
-    assert min_dfvs(cycle(3)).enumeration is None
+@pytest.mark.parametrize("n,size,best", [
+    (18, 5, {6, 8, 10, 12, 13}),
+    (20, 6, {0, 1, 8, 12, 15, 16}),
+    (22, 6, {1, 2, 5, 8, 11, 13}),
+    (24, 7, {0, 1, 5, 7, 16, 19, 23}),
+])
+def test_min_dfvs_pinned_larger(n, size, best):
+    # These graphs have 2, 12, 2 and 15 minimum sets, so the pins also
+    # guard the lexicographic tie-break beyond the brute-force sizes.
+    res = min_dfvs(random_strongly_connected(random.Random(n), n, max_outdeg=3))
+    assert res.minimum_size == size
+    assert res.minimum_set == frozenset(best)
+    assert res.forced == frozenset()

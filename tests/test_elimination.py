@@ -144,13 +144,25 @@ def test_deep_forest_roundtrip():
     text = serialize_forest(forest)
     parsed = parse_forest(text)
     assert height(parsed) == 1200
-
-    # Node equality recurses once per level, so compare the walks instead.
-    def shape(f):
-        return [(n.pivot, n.scope, len(n.children)) for n in all_nodes(f)]
-
-    assert shape(parsed) == shape(forest)
+    assert parsed == forest
     assert serialize_forest(parsed) == text
+
+
+def test_deep_forest_equality_and_hash():
+    # Deeper than the recursion limit: == and hash() must not recurse.
+    n = 1201
+    forest = least_pivot_path_forest(n)
+    assert forest == least_pivot_path_forest(n)
+    assert hash(forest) == hash(least_pivot_path_forest(n))
+
+    # The same chain except for the pivot of the deepest node.
+    node = EliminationNode(n - 1, frozenset({n - 2, n - 1}))
+    for i in range(n - 3, -1, -1):
+        node = EliminationNode(i, frozenset(range(i, n)), (node,))
+    other = EliminationForest((node,))
+    assert height(other) == height(forest)
+    assert other != forest
+    assert forest != other
 
 
 def test_parse_errors():
