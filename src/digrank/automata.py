@@ -110,13 +110,9 @@ def underlying_digraph(a: Nfa) -> Digraph:
     return Digraph(a.states, {(p, q) for p, _, q in a.transitions})
 
 
-def _eps_closure(a: Nfa, states: frozenset[int]) -> frozenset[int]:
+def _eps_closure(eps: dict[int, list[int]], states: Iterable[int]) -> frozenset[int]:
     out = set(states)
-    frontier = list(states)
-    eps = {}
-    for p, sym, q in a.transitions:
-        if sym is None:
-            eps.setdefault(p, []).append(q)
+    frontier = list(out)
     while frontier:
         p = frontier.pop()
         for q in eps.get(p, ()):
@@ -131,17 +127,20 @@ def nfa_accepts(a: Nfa, word: Sequence[str]) -> bool:
     alphabet symbols; symbols outside the alphabet raise InputError."""
     symbols = set(a.alphabet)
     step: dict[tuple[int, str], set[int]] = {}
+    eps: dict[int, list[int]] = {}
     for p, sym, q in a.transitions:
-        if sym is not None:
+        if sym is None:
+            eps.setdefault(p, []).append(q)
+        else:
             step.setdefault((p, sym), set()).add(q)
-    cur = _eps_closure(a, frozenset([a.initial]))
+    cur = _eps_closure(eps, [a.initial])
     for sym in word:
         if sym not in symbols:
             raise InputError(f"symbol {sym!r} not in the alphabet")
         nxt = set()
         for p in cur:
             nxt |= step.get((p, sym), set())
-        cur = _eps_closure(a, frozenset(nxt))
+        cur = _eps_closure(eps, nxt)
         if not cur:
             return False
     return bool(cur & a.finals)

@@ -59,6 +59,8 @@ def _build_parser() -> _Parser:
     crank.add_argument("graph", help="digraph file")
     crank.add_argument("--base-threshold", default="auto",
                        help="approx: piece size that ends the recursion (int or 'auto')")
+    crank.add_argument("--memo-limit", type=int, default=None,
+                       help="exact: most memo entries before giving up (exit 3)")
 
     forest = sub.add_parser("forest", help="elimination forest utilities",
                             parents=[common])
@@ -138,7 +140,9 @@ def _cmd_crank(args) -> int:
         print(_metric(args.format, "crank", crank_bruteforce(g)))
         return 0
     if args.mode == "exact":
-        res = crank_exact(g)
+        if args.memo_limit is not None and args.memo_limit < 1:
+            raise InputError("--memo-limit must be positive")
+        res = crank_exact(g, memo_limit=args.memo_limit)
         print(_metric(args.format, "crank", res.value))
         out = serialize_forest(res.witness)
         if out:

@@ -76,12 +76,28 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
     One subproblem per nontrivial strongly connected subset X: the best
     rank of X over pivot choices, where pivoting on x costs 1 plus the
     maximum over the nontrivial components of X minus x, found by one SCC
-    partition.  The least cost, 1, means X minus x is acyclic; the loop
-    stops at the first such pivot.  Subsets are discovered lazily from the
-    top, so only reachable subsets are ever materialized.
+    partition.  Subsets are discovered lazily from the top, so only
+    reachable subsets are ever materialized.  Pivots are tried in
+    ascending order under two sound prunings:
+
+    - Lower-bound cut.  Rank never grows on an induced subgraph, so each
+      evaluated pivot y gives crank(X) >= crank(X - y) = cost(y) - 1, and
+      X nontrivial gives crank(X) >= 1.  Once the best cost so far is at
+      most that bound it is optimal, and the loop stops.
+    - In-degree-1 dominance.  A loop-free x whose only in-neighbour in X
+      is a smaller vertex y is skipped: x is a source in X - y, so
+      crank(X - y) = crank(X - y - x) <= crank(X - x), i.e. cost(y) <=
+      cost(x).  y was tried before x, or skipped for a still smaller
+      vertex; the chain descends, so some evaluated pivot below x costs
+      no more than x.  The rule is never mirrored to out-degree 1 or to a
+      larger y, which would let vertices skip each other in a cycle.
+
+    Neither rule skips a pivot that would be the first to reach the least
+    cost, so ties still go to the smallest vertex id and the witness is
+    the one the unpruned loop finds; only the memo holds fewer subsets.
 
     memo_limit aborts with ResourceLimitError once the table would exceed
-    that many subsets.  Pivot ties prefer the smallest vertex id.
+    that many subsets.
     """
     if g.n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"crank_exact limited to n <= {EXACT_VERTEX_LIMIT}, got n={g.n}")
@@ -98,11 +114,17 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
             return packed >> 7
         best = 1 << 30
         best_pivot = -1
+        lb = 1  # X is nontrivial, so its rank is at least 1
         m = x_mask
         while m:
             low = m & -m
             m ^= low
             x = low.bit_length() - 1
+            # One in-neighbour in X, below x (so not x itself: x has no
+            # loop): x is dominated by that already tried pivot.
+            inn = pred[x] & x_mask
+            if inn < low and not inn & (inn - 1):
+                continue
             val = 0
             for comp in scc_mask_partition(succ, pred, x_mask ^ low):
                 if comp.bit_count() > 1 or comp & loops:
@@ -112,8 +134,10 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
             val += 1
             if val < best:
                 best, best_pivot = val, x
-            if val == 1:
-                break  # X - x is acyclic: 1 is the least any pivot can cost
+            if val - 1 > lb:
+                lb = val - 1
+            if best <= lb:
+                break
         if memo_limit is not None and len(memo) >= memo_limit:
             raise ResourceLimitError(
                 f"crank_exact memo limit {memo_limit} exceeded", partial=len(memo))

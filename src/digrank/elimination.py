@@ -39,14 +39,33 @@ from .digraph import (
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EliminationNode:
     pivot: int
     scope: frozenset[int]
     children: tuple["EliminationNode", ...] = ()
 
-    # Comparison walks an explicit stack and hashing looks at the root
-    # only, so neither is bounded by the recursion limit on deep trees.
+    # repr and comparison walk an explicit stack and hashing looks at the
+    # root only, so none is bounded by the recursion limit on deep trees.
+    def __repr__(self):
+        # The text the generated dataclass repr would print.
+        parts = []
+        todo = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            kids = item.children
+            parts.append(f"{type(item).__qualname__}(pivot={item.pivot!r}, "
+                         f"scope={item.scope!r}, children=(")
+            todo.append(",))" if len(kids) == 1 else "))")
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append(kids[i])
+                if i:
+                    todo.append(", ")
+        return "".join(parts)
+
     def __eq__(self, other):
         if not isinstance(other, EliminationNode):
             return NotImplemented

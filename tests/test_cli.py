@@ -9,7 +9,7 @@ import pytest
 from digrank import serialize_digraph, serialize_forest
 from digrank.cli import main
 
-from common import bidirected_path, least_pivot_path_forest
+from common import bidirected_path, clique, least_pivot_path_forest
 
 
 C4 = "digraph 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -55,6 +55,25 @@ def test_crank_approx(graph, capsys):
 ], ids=["threshold-x", "threshold-0", "separator"])
 def test_crank_approx_flag_validation(graph, capsys, flags):
     code, _, err = run(capsys, ["crank", "approx", *flags, graph("k3.dg", K3)])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_crank_exact_memo_limit(graph, capsys):
+    path = graph("k8.dg", serialize_digraph(clique(8)))
+    code, out, err = run(capsys, ["crank", "exact", "--memo-limit", "5", path])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    unlimited = run(capsys, ["crank", "exact", path])
+    assert run(capsys, ["crank", "exact", "--memo-limit", "1000", path]) == unlimited
+    assert unlimited[1].startswith("crank 7\n")
+
+
+@pytest.mark.parametrize("limit", ["0", "x"], ids=["zero", "non-integer"])
+def test_crank_exact_memo_limit_validation(graph, capsys, limit):
+    code, _, err = run(capsys, ["crank", "exact", "--memo-limit", limit,
+                                graph("k3.dg", K3)])
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -88,9 +88,9 @@ def test_exact_witness_is_valid_and_tight():
 
 
 @pytest.mark.parametrize("n, value, memo_size, digest", [
-    (15, 3, 456, "2f19c71a998c9d51042c6a7ad4191859a20fac1cbf1956a2c2d09581268de71c"),
-    (16, 3, 719, "cf31bb9bece4bbd021114f0cefb1608f28af3d8f459377d83c128f4f821d3c9e"),
-    (17, 3, 641, "cbe5dae3bcfc2a48e785529b6ff3c504c6661cddacde4356bb4331e514d4ec8b"),
+    (15, 3, 95, "2f19c71a998c9d51042c6a7ad4191859a20fac1cbf1956a2c2d09581268de71c"),
+    (16, 3, 187, "cf31bb9bece4bbd021114f0cefb1608f28af3d8f459377d83c128f4f821d3c9e"),
+    (17, 3, 77, "cbe5dae3bcfc2a48e785529b6ff3c504c6661cddacde4356bb4331e514d4ec8b"),
 ])
 def test_exact_witness_bytes_are_pinned(n, value, memo_size, digest):
     # Pins the smallest-pivot tie-break, which validity and height alone
@@ -100,6 +100,23 @@ def test_exact_witness_bytes_are_pinned(n, value, memo_size, digest):
     assert (res.value, res.memo_size) == (value, memo_size)
     text = serialize_forest(res.witness)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_witness_pivot_is_the_least_optimal_one():
+    # The oracle judges each node's pivot on its own scope, without the
+    # memo: it must be the least x with 1 + crank(X - x) == crank(X).
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_digraph(rng, rng.randrange(1, 9), edge_prob=rng.uniform(0.15, 0.6))
+        todo = list(crank_exact(g).witness)
+        while todo:
+            node = todo.pop()
+            scope = node.scope
+            target = crank_bruteforce(induced(g, scope))
+            least = min(x for x in scope
+                        if 1 + crank_bruteforce(induced(g, scope - {x})) == target)
+            assert node.pivot == least, (g.edges, scope)
+            todo.extend(node.children)
 
 
 def test_deletion_never_increases_crank():

@@ -165,6 +165,25 @@ def test_deep_forest_equality_and_hash():
     assert forest != other
 
 
+def test_repr_text():
+    # The text a generated dataclass repr prints: one child (a one-element
+    # tuple), two children and none.
+    assert repr(K3_FOREST) == (
+        "EliminationForest(trees=(EliminationNode(pivot=0, scope=frozenset({0, 1, 2}), "
+        "children=(EliminationNode(pivot=1, scope=frozenset({1, 2}), children=()),)),))")
+    assert repr(tree(0, {0, 1, 2, 3}, tree(1, {1, 2}), tree(3, {3}))) == (
+        "EliminationNode(pivot=0, scope=frozenset({0, 1, 2, 3}), children=("
+        "EliminationNode(pivot=1, scope=frozenset({1, 2}), children=()), "
+        "EliminationNode(pivot=3, scope=frozenset({3}), children=())))")
+
+
+def test_deep_forest_repr():
+    # Deeper than the recursion limit: repr must not recurse.
+    text = repr(least_pivot_path_forest(1201))
+    assert text.count("EliminationNode(") == 1200
+    assert text.endswith("children=())" + ",))" * 1200)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_forest(" 0 {0}\n")  # odd indentation
