@@ -13,8 +13,7 @@ from .cyclerank import (CrankResult, SubsetCensus, count_sc_subsets,
 from .dfvs import (DfvsResult, is_dfvs, maximal_acyclic_subsets, min_dfvs,
                    minimal_dfvs_enumerate)
 from .digraph import (Digraph, degrees, induced, is_acyclic,
-                      is_strongly_connected, parse_digraph, scc,
-                      serialize_digraph, to_dot)
+                      is_strongly_connected, parse_digraph, serialize_digraph)
 from .elimination import (EliminationForest, EliminationNode,
                           forest_to_path_decomposition, parse_forest,
                           serialize_forest, validate_forest)
@@ -38,9 +37,9 @@ __all__ = [
     "matches", "maximal_acyclic_subsets", "min_dfvs", "min_weak_separator",
     "minimal_dfvs_enumerate", "nfa_accepts", "parse_automaton",
     "parse_digraph", "parse_forest", "parse_regex", "regex_to_nfa", "rk",
-    "sc_subset_bound", "scc", "serialize_automaton", "serialize_digraph",
+    "sc_subset_bound", "serialize_automaton", "serialize_digraph",
     "serialize_forest", "serialize_regex", "snum_exact", "star_height",
-    "star_height_bidet", "to_dot", "trim", "underlying_digraph",
+    "star_height_bidet", "trim", "underlying_digraph",
     "validate_forest", "validate_path_decomposition",
     "walk_language_automaton", "width",
 ]

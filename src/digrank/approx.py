@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
+from .cyclerank import crank_exact
 from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
                       scc_mask_partition)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
@@ -131,8 +132,6 @@ def _resolve_threshold(base_threshold: int | str, n: int) -> int:
 def _base_tree(g: Digraph, w: frozenset[int]) -> EliminationNode:
     """Optimal tree when affordable, else smallest-pivot deletion order."""
     if len(w) <= EXACT_BASE_LIMIT:
-        from .cyclerank import crank_exact
-
         mapping = sorted(w)
         sub = induced(g, w)
         (root,) = crank_exact(sub).witness.trees  # a strongly connected piece

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
+from .bitsets import bits
 from .cyclerank import crank_exact
-from .digraph import Digraph, is_strongly_connected
+from .digraph import Digraph, is_strongly_connected, reach_mask
 from .elimination import EliminationForest
 from .errors import DomainError, InputError, ParseError
 from .regex import (Concat, EmptySet, EmptyWord, Regex, Star, Symbol, Union,
@@ -65,6 +67,29 @@ class Nfa:
             if sym is not None and sym not in seen:
                 raise InputError(f"transition symbol {sym!r} not in alphabet")
 
+    @cached_property
+    def _moves(self) -> tuple[list[int], dict[str, list[int]]]:
+        """Each state's epsilon closure, and per symbol each state's
+        successors on it, epsilon-closed; all as state masks.  The closure
+        of a union is the union of the closures, so a subset simulation
+        steps by ORing the entries of its states."""
+        eps = [0] * self.states
+        step = {sym: [0] * self.states for sym in self.alphabet}
+        for p, sym, q in self.transitions:
+            if sym is None:
+                eps[p] |= 1 << q
+            else:
+                step[sym][p] |= 1 << q
+        full = (1 << self.states) - 1
+        closure = [reach_mask(eps, full, p) for p in range(self.states)]
+        for row in step.values():
+            for p, succ in enumerate(row):
+                closed = 0
+                for q in bits(succ):
+                    closed |= closure[q]
+                row[p] = closed
+        return closure, step
+
 
 @dataclass(frozen=True)
 class Dfa(Nfa):
@@ -110,40 +135,22 @@ def underlying_digraph(a: Nfa) -> Digraph:
     return Digraph(a.states, {(p, q) for p, _, q in a.transitions})
 
 
-def _eps_closure(eps: dict[int, list[int]], states: Iterable[int]) -> frozenset[int]:
-    out = set(states)
-    frontier = list(out)
-    while frontier:
-        p = frontier.pop()
-        for q in eps.get(p, ()):
-            if q not in out:
-                out.add(q)
-                frontier.append(q)
-    return frozenset(out)
-
-
 def nfa_accepts(a: Nfa, word: Sequence[str]) -> bool:
     """Subset simulation with epsilon closure.  word is a sequence of
     alphabet symbols; symbols outside the alphabet raise InputError."""
-    symbols = set(a.alphabet)
-    step: dict[tuple[int, str], set[int]] = {}
-    eps: dict[int, list[int]] = {}
-    for p, sym, q in a.transitions:
-        if sym is None:
-            eps.setdefault(p, []).append(q)
-        else:
-            step.setdefault((p, sym), set()).add(q)
-    cur = _eps_closure(eps, [a.initial])
+    closure, step = a._moves
+    cur = closure[a.initial]
     for sym in word:
-        if sym not in symbols:
+        row = step.get(sym)
+        if row is None:
             raise InputError(f"symbol {sym!r} not in the alphabet")
-        nxt = set()
-        for p in cur:
-            nxt |= step.get((p, sym), set())
-        cur = _eps_closure(eps, nxt)
+        nxt = 0
+        for p in bits(cur):
+            nxt |= row[p]
+        cur = nxt
         if not cur:
             return False
-    return bool(cur & a.finals)
+    return any(cur >> q & 1 for q in a.finals)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -155,35 +162,26 @@ def trim(a: Nfa) -> Nfa:
     a single initial state with no transitions and no finals, and a
     UserWarning is emitted.
     """
-    fwd: dict[int, list[int]] = {}
-    bwd: dict[int, list[int]] = {}
+    fwd = [0] * a.states
+    bwd = [0] * a.states
     for p, _, q in a.transitions:
-        fwd.setdefault(p, []).append(q)
-        bwd.setdefault(q, []).append(p)
-
-    def closure(seeds: Iterable[int], adj: dict[int, list[int]]) -> set[int]:
-        out = set(seeds)
-        frontier = list(out)
-        while frontier:
-            p = frontier.pop()
-            for q in adj.get(p, ()):
-                if q not in out:
-                    out.add(q)
-                    frontier.append(q)
-        return out
-
-    useful = closure([a.initial], fwd) & closure(a.finals, bwd)
+        fwd[p] |= 1 << q
+        bwd[q] |= 1 << p
+    full = (1 << a.states) - 1
+    coreach = 0
+    for q in a.finals:
+        coreach |= reach_mask(bwd, full, q)
+    useful = reach_mask(fwd, full, a.initial) & coreach
     if not useful:
         warnings.warn("empty language: trim kept only the initial state", stacklevel=2)
         return type(a)(1, a.alphabet, frozenset(), 0, frozenset())
-    order = sorted(useful)
-    relabel = {q: i for i, q in enumerate(order)}
+    relabel = {q: i for i, q in enumerate(bits(useful))}
     return type(a)(
-        len(order), a.alphabet,
+        len(relabel), a.alphabet,
         frozenset((relabel[p], sym, relabel[q]) for p, sym, q in a.transitions
-                  if p in useful and q in useful),
+                  if p in relabel and q in relabel),
         relabel[a.initial],
-        frozenset(relabel[q] for q in a.finals if q in useful))
+        frozenset(relabel[q] for q in a.finals if q in relabel))
 
 
 def regex_to_nfa(r: Regex, alphabet: Iterable[str] | None = None) -> Nfa:
@@ -193,42 +191,44 @@ def regex_to_nfa(r: Regex, alphabet: Iterable[str] | None = None) -> Nfa:
     height of the expression.
     """
     transitions: set[Transition] = set()
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node: Regex) -> tuple[int, int]:
-        if isinstance(node, EmptySet):
-            return fresh(), fresh()
-        if isinstance(node, EmptyWord):
-            s, e = fresh(), fresh()
-            transitions.add((s, None, e))
-            return s, e
-        if isinstance(node, Symbol):
-            s, e = fresh(), fresh()
-            transitions.add((s, node.char, e))
-            return s, e
-        if isinstance(node, Union):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            s, e = fresh(), fresh()
-            transitions.update([(s, None, ls), (s, None, rs), (le, None, e), (re, None, e)])
-            return s, e
+    states = 0
+    # Post-order on an explicit stack, since concatenation builds a
+    # left-deep tree: a node's (entry, exit) pair goes on ``built`` once
+    # its children's pairs are there, and states are numbered in that order.
+    built: list[tuple[int, int]] = []
+    todo: list[tuple[Regex, bool]] = [(r, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready and isinstance(node, (Union, Concat)):
+            todo += [(node, True), (node.right, False), (node.left, False)]
+            continue
+        if not ready and isinstance(node, Star):
+            todo += [(node, True), (node.inner, False)]
+            continue
         if isinstance(node, Concat):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
+            rs, re = built.pop()
+            ls, le = built.pop()
             transitions.add((le, None, rs))
-            return ls, re
-        if isinstance(node, Star):
-            is_, ie = build(node.inner)
-            s, e = fresh(), fresh()
+            built.append((ls, re))
+            continue
+        s, e = states, states + 1
+        states += 2
+        if isinstance(node, EmptyWord):
+            transitions.add((s, None, e))
+        elif isinstance(node, Symbol):
+            transitions.add((s, node.char, e))
+        elif isinstance(node, Union):
+            rs, re = built.pop()
+            ls, le = built.pop()
+            transitions.update([(s, None, ls), (s, None, rs), (le, None, e), (re, None, e)])
+        elif isinstance(node, Star):
+            is_, ie = built.pop()
             transitions.update([(s, None, is_), (ie, None, e), (ie, None, is_), (s, None, e)])
-            return s, e
-        raise InputError(f"unknown node {node!r}")
+        elif not isinstance(node, EmptySet):
+            raise InputError(f"unknown node {node!r}")
+        built.append((s, e))
 
-    start, end = build(r)
+    [(start, end)] = built
     if alphabet is None:
         syms = tuple(sorted(symbols_of(r)))
     else:
@@ -236,7 +236,7 @@ def regex_to_nfa(r: Regex, alphabet: Iterable[str] | None = None) -> Nfa:
         missing = symbols_of(r) - set(syms)
         if missing:
             raise InputError(f"symbols {sorted(missing)} not in the declared alphabet")
-    return Nfa(counter[0], syms, frozenset(transitions), start, frozenset([end]))
+    return Nfa(states, syms, frozenset(transitions), start, frozenset([end]))
 
 
 def star_height_bidet(a: Nfa) -> tuple[int, EliminationForest]:

@@ -197,11 +197,6 @@ def sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozenset[int]]:
     return ordered
 
 
-def scc(g: Digraph) -> list[frozenset[int]]:
-    """The SCC partition of G, topologically ordered (see sccs_within)."""
-    return sccs_within(g, g.vertices)
-
-
 def is_nontrivial_component(g: Digraph, comp: frozenset[int]) -> bool:
     """A component is nontrivial iff it contains at least one edge."""
     if len(comp) > 1:
@@ -300,18 +295,6 @@ def parse_digraph(text: str) -> Digraph:
 def serialize_digraph(g: Digraph) -> str:
     lines = [f"digraph {g.n}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
-def to_dot(g: Digraph) -> str:
-    lines = ["digraph {"]
-    covered = {v for e in g.edges for v in e}
-    for v in g.vertices:
-        if v not in covered:
-            lines.append(f"  {v};")
-    for u, v in sorted(g.edges):
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
     return "\n".join(lines) + "\n"
 
 

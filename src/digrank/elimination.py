@@ -197,7 +197,7 @@ def forest_to_path_decomposition(g: Digraph, forest: EliminationForest,
     """Directed path decomposition of width at most height(forest).
 
     Walks the SCCs of the host in topological order; a trivial component
-    becomes a singleton bag, a nontrivial one recurses into its tree with
+    becomes a singleton bag, a nontrivial one descends into its tree with
     the pivot added to every inner bag.
     """
     domain = set(g.vertices) if vertices is None else set(vertices)
@@ -205,22 +205,28 @@ def forest_to_path_decomposition(g: Digraph, forest: EliminationForest,
     if problems:
         raise DomainError("invalid elimination forest: " + "; ".join(problems))
 
-    def build(verts: set[int], by_scope: dict) -> list[frozenset[int]]:
-        bags: list[frozenset[int]] = []
-        for comp in sccs_within(g, verts):
-            if is_nontrivial_component(g, comp):
-                node = by_scope[comp]
-                inner = build(set(comp) - {node.pivot},
-                              {c.scope: c for c in node.children})
-                if inner:
-                    bags.extend(b | {node.pivot} for b in inner)
-                else:
-                    bags.append(frozenset({node.pivot}))
+    # An explicit stack of (scope, ancestor pivots, children by scope),
+    # so depth is not bounded by recursion; a finished bag is pushed as
+    # (bag, None, None) to keep the components' order.
+    bags: list[frozenset[int]] = []
+    todo = [(domain, frozenset(), {t.scope: t for t in forest.trees})]
+    while todo:
+        verts, pivots, by_scope = todo.pop()
+        if by_scope is None:
+            bags.append(verts)
+            continue
+        for comp in reversed(sccs_within(g, verts)):
+            if not is_nontrivial_component(g, comp):
+                todo.append((comp | pivots, None, None))
+                continue
+            node = by_scope[comp]
+            above = pivots | {node.pivot}
+            if comp == {node.pivot}:
+                todo.append((above, None, None))
             else:
-                bags.append(comp)
-        return bags
-
-    return build(domain, {t.scope: t for t in forest.trees})
+                todo.append((comp - {node.pivot}, above,
+                             {c.scope: c for c in node.children}))
+    return bags
 
 
 # ---------------------------------------------------------------------------

@@ -155,13 +155,18 @@ def serialize_regex(r: Regex) -> str:
 
 
 def symbols_of(r: Regex) -> frozenset[str]:
-    if isinstance(r, Symbol):
-        return frozenset(r.char)
-    if isinstance(r, (Union, Concat)):
-        return symbols_of(r.left) | symbols_of(r.right)
-    if isinstance(r, Star):
-        return symbols_of(r.inner)
-    return frozenset()
+    # An explicit stack, for the same reason as in star_height below.
+    out: set[str] = set()
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Symbol):
+            out.add(node.char)
+        elif isinstance(node, (Union, Concat)):
+            todo += [node.left, node.right]
+        elif isinstance(node, Star):
+            todo.append(node.inner)
+    return frozenset(out)
 
 
 def star_height(r: Regex) -> int:

@@ -30,6 +30,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, set_of
+from .cyclerank import crank_exact
 from .digraph import (
     Digraph,
     _vertex_mask,
@@ -291,8 +292,6 @@ def check_bounds(g: Digraph) -> BoundsReport:
     """
     if g.loop_mask:
         raise InputError("bounds chain requires a loop-free digraph")
-    from .cyclerank import crank_exact
-
     k = snum_exact(g)
     d, _ = dpw_exact(g)
     c = crank_exact(g).value

@@ -170,6 +170,59 @@ def test_trim_preserves_type_and_language():
             assert nfa_accepts(t, word) == nfa_accepts(nfa, word)
 
 
+def test_accepts_and_trim_on_random_epsilon_nfas():
+    # Hand-built automata with epsilon cycles, unreachable states and 0-3
+    # finals, which regex_to_nfa never produces, against set-based
+    # references written here.
+    def closure(seeds, moves):
+        out, todo = set(seeds), list(seeds)
+        while todo:
+            p = todo.pop()
+            for q in moves.get(p, ()):
+                if q not in out:
+                    out.add(q)
+                    todo.append(q)
+        return out
+
+    rng = random.Random(109)
+    seen = {"epsilon cycle": 0, "unreachable state": 0, "no finals": 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        transitions = {(rng.randrange(n), rng.choice((None, "a", "b")), rng.randrange(n))
+                       for _ in range(rng.randint(0, 2 * n))}
+        a = Nfa(n, ("a", "b"), frozenset(transitions), rng.randrange(n),
+                frozenset(rng.sample(range(n), rng.randint(0, min(3, n)))))
+        eps, fwd, bwd = {}, {}, {}
+        for p, sym, q in transitions:
+            fwd.setdefault(p, []).append(q)
+            bwd.setdefault(q, []).append(p)
+            if sym is None:
+                eps.setdefault(p, []).append(q)
+        reach = closure([a.initial], fwd)
+        seen["epsilon cycle"] += any(p in closure(eps.get(p, ()), eps) for p in range(n))
+        seen["unreachable state"] += len(reach) < n
+        seen["no finals"] += not a.finals
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            t = trim(a)
+        kept = sorted(reach & closure(a.finals, bwd))
+        relabel = {q: i for i, q in enumerate(kept)}
+        assert t.states == max(1, len(kept))
+        assert t.transitions == {(relabel[p], sym, relabel[q]) for p, sym, q in transitions
+                                 if p in relabel and q in relabel}
+        assert t.finals == {relabel[q] for q in a.finals if q in relabel}
+
+        for word in random_words(rng, "ab", 20, 6):
+            cur = closure([a.initial], eps)
+            for sym in word:
+                cur = closure({q for p, s, q in transitions if p in cur and s == sym}, eps)
+            want = bool(cur & a.finals)
+            assert nfa_accepts(a, word) == want, (serialize_automaton(a), word)
+            assert nfa_accepts(t, word) == want, (serialize_automaton(a), word)
+    assert all(seen.values()), seen
+
+
 # regex -> NFA and the star height upper bound
 
 
@@ -188,6 +241,13 @@ def test_regex_to_nfa_agrees_with_matcher():
         for word in random_words(rng, "ab", 20, 6):
             assert nfa_accepts(nfa, word) == matches(r, "".join(word)), (
                 serialize_regex(r), word)
+
+
+def test_regex_to_nfa_long_concatenation():
+    # A left-deep chain, deeper than the recursion limit.
+    nfa = regex_to_nfa(parse_regex("a" * 5000))
+    assert nfa_accepts(nfa, "a" * 5000)
+    assert not nfa_accepts(nfa, "a" * 4999)
 
 
 def test_crank_of_construction_bounded_by_star_height():

@@ -20,7 +20,8 @@ from digrank import (
 from digrank.digraph import nontrivial_sccs_within
 from digrank.elimination import all_nodes, height, pivot_tree
 
-from common import chain, clique, cycle, least_pivot_path_forest, loop_vertex
+from common import (bidirected_path, chain, clique, cycle, least_pivot_path_forest,
+                    loop_vertex)
 
 
 def tree(pivot, scope, *children):
@@ -120,6 +121,15 @@ def test_conversion_width_bounded_by_height():
     bags = forest_to_path_decomposition(clique(3), K3_FOREST)
     assert validate_path_decomposition(clique(3), bags) == []
     assert width(bags) <= height(K3_FOREST)
+
+
+def test_deep_forest_conversion():
+    # Deeper than the recursion limit: the conversion must not recurse.
+    g = bidirected_path(1201)
+    forest = least_pivot_path_forest(1201)
+    bags = forest_to_path_decomposition(g, forest)
+    assert validate_path_decomposition(g, bags) == []
+    assert width(bags) <= height(forest)
 
 
 def test_conversion_rejects_invalid_forest():
