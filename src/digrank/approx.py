@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .bitsets import bits, set_of
 from .cyclerank import crank_exact
 from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
-                      scc_mask_partition)
+                      scc_mask_partition, strong_articulation_mask)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
@@ -54,6 +54,22 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
 
     W is expected to induce a strongly connected subgraph with an edge;
     the result is well defined regardless.
+
+    Only the strong articulation points (SAPs) are scored by a partition.
+    Let C be a largest remaining component, of L vertices, and M the size
+    of the largest other one (the same M for every largest C).  Deleting
+    a vertex v of C touches no other component, so v scores M or the
+    largest SCC of C - v, whichever is larger.  A v that is not a SAP
+    leaves C - v strongly connected, so it scores max(L - 1, M).  A SAP
+    splits C - v into at least two parts of L - 1 vertices in all, so it
+    scores at most max(L - 2, M): never worse than a non-SAP.  All
+    non-SAPs of the largest components tie, so the least score, ties to
+    the smallest id, is the best-scoring SAP or the smallest-id non-SAP,
+    as if every candidate were partitioned.  SAPs come from dominators
+    (Italiano, Laura, Santaroni, "Finding strong bridges and strong
+    articulation points in linear time", TCS 2012; Cooper, Harvey,
+    Kennedy, "A simple, fast dominance algorithm", 2001);
+    see digraph.strong_articulation_mask.
     """
     w = frozenset(w)
     w_mask = _vertex_mask(g, w)
@@ -68,20 +84,26 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
     rest = w_mask
     while True:
         comps = list(scc_mask_partition(succ, pred, rest))
-        largest = max((c.bit_count() for c in comps), default=0)
+        sizes = sorted(c.bit_count() for c in comps)
+        largest = sizes[-1]
         if chosen and largest <= bound:
             break
-        # components are disjoint masks, so their sum is their union
-        candidates = sum(c for c in comps if c.bit_count() == largest)
-        best_v = None
-        best_after = None
-        for v in bits(candidates):
-            after = max((c.bit_count()
-                         for c in scc_mask_partition(succ, pred, rest & ~(1 << v))),
-                        default=0)
-            if best_after is None or after < best_after:
-                best_after = after
-                best_v = v
+        # the largest component other than a given largest one
+        other = sizes[-2] if len(sizes) > 1 else 0
+        scored = []  # (score, vertex)
+        for c in comps:
+            if c.bit_count() != largest:
+                continue
+            saps = strong_articulation_mask(succ, pred, c)
+            non_saps = c & ~saps
+            if non_saps:
+                scored.append((max(largest - 1, other),
+                               (non_saps & -non_saps).bit_length() - 1))
+            for v in bits(saps):
+                after = max(x.bit_count()
+                            for x in scc_mask_partition(succ, pred, c & ~(1 << v)))
+                scored.append((max(after, other), v))
+        best_v = min(scored)[1]
         chosen |= 1 << best_v
         rest &= ~(1 << best_v)
         if not rest:

@@ -83,6 +83,8 @@ def _build_parser() -> _Parser:
                           parents=[common])
     dfvs.add_argument("mode", choices=["min", "enumerate"])
     dfvs.add_argument("graph")
+    dfvs.add_argument("--cap", type=int, default=None,
+                      help="enumerate: most feedback sets found before giving up (exit 3)")
 
     csc = sub.add_parser("count-sc", help="census of strongly connected vertex sets",
                          parents=[common])
@@ -208,12 +210,16 @@ def _cmd_bounds(args) -> int:
 def _cmd_dfvs(args) -> int:
     g = _load_digraph(args.graph)
     if args.mode == "min":
+        if args.cap is not None:
+            raise InputError("--cap applies to 'dfvs enumerate' only")
         res = min_dfvs(g)
         print(_metric(args.format, "size", res.minimum_size))
         print(_metric(args.format, "min", format_vertex_set(res.minimum_set)))
         print(_metric(args.format, "forced", format_vertex_set(res.forced)))
         return 0
-    sets = minimal_dfvs_enumerate(g)
+    if args.cap is not None and args.cap < 1:
+        raise InputError("--cap must be positive")
+    sets = minimal_dfvs_enumerate(g, cap=args.cap)
     print(_metric(args.format, "count", len(sets)))
     for s in sets:
         print(format_vertex_set(s))

@@ -152,6 +152,88 @@ def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
         rem ^= comp
 
 
+def strong_articulation_mask(succ_masks, pred_masks, comp: int) -> int:
+    """Mask of the strong articulation points of the strongly connected
+    subgraph on the mask ``comp``: the vertices v for which comp - v is
+    not strongly connected.
+
+    With r the least vertex of comp, a vertex v != r is one exactly when it
+    is a nontrivial dominator from r, in G[comp] or in its reverse: v
+    dominates some w != v from r there (Italiano, Laura, Santaroni,
+    "Finding strong bridges and strong articulation points in linear
+    time", TCS 2012).  r itself is one when comp - r splits, which two
+    reach_mask sweeps from another vertex decide.
+    """
+    r = (comp & -comp).bit_length() - 1
+    saps = (_nontrivial_dominators(succ_masks, pred_masks, comp, r)
+            | _nontrivial_dominators(pred_masks, succ_masks, comp, r))
+    rest = comp ^ (1 << r)
+    if rest:
+        u = (rest & -rest).bit_length() - 1
+        if (reach_mask(succ_masks, rest, u) != rest
+                or reach_mask(pred_masks, rest, u) != rest):
+            saps |= 1 << r
+    return saps
+
+
+def _nontrivial_dominators(succ_masks, pred_masks, comp: int, r: int) -> int:
+    """Mask of the vertices other than r that are the immediate dominator
+    of some vertex of the flowgraph on ``comp`` rooted at r, following
+    succ_masks (every vertex of comp must be reachable from r).
+
+    Cooper, Harvey, Kennedy, "A simple, fast dominance algorithm" (2001):
+    visit the vertices in reverse postorder of a depth-first search from
+    r, setting each one's idom to the nearest common ancestor, in the
+    current idom tree, of its predecessors already given one; repeat
+    until nothing changes.
+    """
+    n = len(succ_masks)
+    post = [0] * n
+    order = []  # postorder; r comes last
+    seen = 1 << r
+    stack = [(r, succ_masks[r] & comp)]
+    while stack:
+        v, todo = stack[-1]
+        todo &= ~seen
+        if todo:
+            low = todo & -todo
+            stack[-1] = (v, todo ^ low)
+            seen |= low
+            w = low.bit_length() - 1
+            stack.append((w, succ_masks[w] & comp))
+        else:
+            stack.pop()
+            post[v] = len(order)
+            order.append(v)
+    rpo = order[-2::-1]
+    preds = [list(bits(pred_masks[v] & comp)) for v in rpo]
+    idom = [-1] * n
+    idom[r] = r
+    changed = True
+    while changed:
+        changed = False
+        for v, ps in zip(rpo, preds):
+            new = -1
+            for p in ps:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                while p != new:
+                    while post[p] < post[new]:
+                        p = idom[p]
+                    while post[new] < post[p]:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    doms = 0
+    for v in rpo:
+        doms |= 1 << idom[v]
+    return doms & ~(1 << r)
+
+
 def _vertex_mask(g: Digraph, vertices: Iterable[int]) -> int:
     """Mask of ``vertices``; InputError unless each is a vertex id of G."""
     allowed = set(vertices)

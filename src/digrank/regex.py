@@ -132,26 +132,35 @@ def parse_regex(text: str, alphabet: frozenset[str] | None = None) -> Regex:
 def serialize_regex(r: Regex) -> str:
     """Concrete syntax that parses back to an equal AST, minimally
     parenthesized."""
-
-    def go(node: Regex, level: int) -> str:
-        # level: 0 union context, 1 concat, 2 star operand
+    # An explicit stack, for the same reason as in star_height below.  It
+    # holds text still to emit and (node, level) pairs still to expand,
+    # where level is 0 in a union context, 1 in a concat, 2 as a star
+    # operand; the top is emitted next.
+    out: list[str] = []
+    todo: list[str | tuple[Regex, int]] = [(r, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
         if isinstance(node, EmptySet):
-            return "#"
-        if isinstance(node, EmptyWord):
-            return "@"
-        if isinstance(node, Symbol):
-            return node.char
-        if isinstance(node, Star):
-            return go(node.inner, 2) + "*"
-        if isinstance(node, Concat):
-            s = go(node.left, 1) + go(node.right, 2)
-            return f"({s})" if level >= 2 else s
-        if isinstance(node, Union):
-            s = go(node.left, 0) + "+" + go(node.right, 1)
-            return f"({s})" if level >= 1 else s
-        raise InputError(f"unknown node {node!r}")
-
-    return go(r, 0)
+            out.append("#")
+        elif isinstance(node, EmptyWord):
+            out.append("@")
+        elif isinstance(node, Symbol):
+            out.append(node.char)
+        elif isinstance(node, Star):
+            todo += ["*", (node.inner, 2)]
+        elif isinstance(node, Concat):
+            parts = [(node.right, 2), (node.left, 1)]
+            todo += [")", *parts, "("] if level >= 2 else parts
+        elif isinstance(node, Union):
+            parts = [(node.right, 1), "+", (node.left, 0)]
+            todo += [")", *parts, "("] if level >= 1 else parts
+        else:
+            raise InputError(f"unknown node {node!r}")
+    return "".join(out)
 
 
 def symbols_of(r: Regex) -> frozenset[str]:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from digrank import (
+    Digraph,
     EliminationForest,
     InputError,
     crank_approx,
@@ -14,7 +15,8 @@ from digrank import (
     validate_forest,
 )
 from digrank.approx import _resolve_threshold
-from digrank.digraph import sccs_within
+from digrank.bitsets import bits, mask_of, set_of
+from digrank.digraph import nontrivial_sccs_within, scc_mask_partition, sccs_within
 from digrank.elimination import height, serialize_forest
 from digrank.generate import random_digraph, random_strongly_connected
 
@@ -49,6 +51,64 @@ def test_separator_greedy_mode_is_feasible():
         s = find_balanced_separator(g, frozenset(range(n)))
         assert s
         assert residual_sccs_small(g, range(n), s, -(-3 * n // 4))
+
+
+def reference_greedy_separator(g, w):
+    """The greedy rule with every candidate scored by a partition: delete
+    the vertex of a largest SCC whose removal leaves the smallest largest
+    SCC, ties to the smallest id, until W - S is balanced."""
+    bound = -(-3 * len(w) // 4)
+    chosen = 0
+    rest = mask_of(w)
+    while rest:
+        comps = list(scc_mask_partition(g.succ_masks, g.pred_masks, rest))
+        largest = max(c.bit_count() for c in comps)
+        if chosen and largest <= bound:
+            break
+        candidates = sum(c for c in comps if c.bit_count() == largest)
+
+        def after(v):
+            return max((c.bit_count() for c in scc_mask_partition(
+                g.succ_masks, g.pred_masks, rest & ~(1 << v))), default=0)
+
+        best_v = min(bits(candidates), key=lambda v: (after(v), v))
+        chosen |= 1 << best_v
+        rest &= ~(1 << best_v)
+    return set_of(chosen)
+
+
+def random_blocks(rng):
+    """Strongly connected blocks of 1-5 vertices under shuffled ids, with
+    edges only from earlier blocks to later ones, so the blocks are the
+    SCCs and several of them often share the largest size."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    edges = []
+    placed = []
+    for k in sizes:
+        block, ids = ids[:k], ids[k:]
+        h = random_strongly_connected(rng, k, extra_prob=rng.uniform(0.05, 0.5),
+                                      allow_loops=True)
+        edges += [(block[a], block[b]) for a, b in h.edges]
+        edges += [(u, v) for u in placed for v in block if rng.random() < 0.1]
+        placed += block
+    return Digraph.from_edges(len(placed), edges)
+
+
+def test_separator_matches_reference_greedy():
+    # Strongly connected targets, and the whole vertex set, which may hold
+    # several largest components at once.
+    rng = random.Random(71)
+    for i in range(300):
+        if i % 2:
+            g = random_blocks(rng)
+        else:
+            g = random_digraph(rng, rng.randrange(1, 15), edge_prob=rng.uniform(0.05, 0.5))
+        for w in [*nontrivial_sccs_within(g, g.vertices), frozenset(g.vertices)]:
+            if w:
+                assert find_balanced_separator(g, w) == reference_greedy_separator(g, w), \
+                    (g.edges, sorted(w))
 
 
 def test_separator_input_errors():

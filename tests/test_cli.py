@@ -154,6 +154,27 @@ def test_dfvs_enumerate(graph, capsys):
     assert (code, out) == (0, "count 3\n{0}\n{1}\n{2}\n")
 
 
+def test_dfvs_enumerate_cap(graph, capsys):
+    # The search finds the three minimal sets of the 3-cycle and no others.
+    path = graph("c3.dg", C3)
+    code, out, err = run(capsys, ["dfvs", "enumerate", "--cap", "2", path])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    unlimited = run(capsys, ["dfvs", "enumerate", path])
+    assert run(capsys, ["dfvs", "enumerate", "--cap", "3", path]) == unlimited
+    assert run(capsys, ["dfvs", "enumerate", "--cap", "1000", path]) == unlimited
+
+
+@pytest.mark.parametrize("mode, cap", [
+    ("enumerate", "0"), ("enumerate", "-1"), ("enumerate", "x"), ("min", "5"),
+], ids=["zero", "negative", "non-integer", "min"])
+def test_dfvs_cap_validation(graph, capsys, mode, cap):
+    code, _, err = run(capsys, ["dfvs", mode, "--cap", cap, graph("c3.dg", C3)])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_count_sc(graph, capsys):
     code, out, _ = run(capsys, ["count-sc", graph("k3.dg", K3)])
     assert (code, out) == (0, "nontrivial 4\ntotal 7\n")

@@ -24,7 +24,9 @@ from digrank.digraph import (
     parse_vertex_set,
     scc_mask_partition,
     sccs_within,
+    strong_articulation_mask,
 )
+from digrank.generate import random_strongly_connected
 
 from common import chain, clique, cycle, edgeless, loop_vertex
 
@@ -134,6 +136,49 @@ def test_sccs_within_canonical_order_spec(case):
     leasts = [(m & -m).bit_length() - 1 for m in masks]
     assert leasts == sorted(leasts)
     assert sorted(masks) == sorted(mask_of(c) for c in comps)
+
+
+def brute_force_saps(g, comp):
+    """Vertices v of comp whose deletion splits comp into several SCCs."""
+    split = 0
+    for v in range(g.n):
+        if comp >> v & 1 and len(list(scc_mask_partition(
+                g.succ_masks, g.pred_masks, comp & ~(1 << v)))) > 1:
+            split |= 1 << v
+    return split
+
+
+def test_strong_articulation_points_match_brute_force():
+    rng = random.Random(113)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_strongly_connected(
+            rng, n, max_outdeg=rng.choice([None, 2, 3]),
+            extra_prob=rng.uniform(0.05, 0.5), allow_loops=True)
+        full = (1 << n) - 1
+        # the whole graph, then the components left after deleting the
+        # top vertex, which have edges to and from outside the mask
+        comps = [full, *scc_mask_partition(g.succ_masks, g.pred_masks, full >> 1)]
+        for comp in comps:
+            assert (strong_articulation_mask(g.succ_masks, g.pred_masks, comp)
+                    == brute_force_saps(g, comp)), (g.edges, comp)
+
+
+@pytest.mark.parametrize("g, saps", [
+    (cycle(2), set()),
+    (cycle(5), set(range(5))),
+    (clique(5), set()),
+    # two 2-cycles through the root 0
+    (Digraph.from_edges(3, [(0, 1), (1, 0), (0, 2), (2, 0)]), {0}),
+    # two 3-cycles through 0: deleting 1 also cuts off 2, and so on
+    (Digraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+     set(range(5))),
+    (loop_vertex(), set()),
+], ids=["2-cycle", "cycle", "clique", "two-2-cycles-at-root",
+        "two-3-cycles-at-root", "loop"])
+def test_strong_articulation_points_pinned(g, saps):
+    full = (1 << g.n) - 1
+    assert strong_articulation_mask(g.succ_masks, g.pred_masks, full) == mask_of(saps)
 
 
 def test_induced_subgraph_relabels_canonically():

@@ -104,6 +104,12 @@ def test_serialize_parse_roundtrip():
         assert parse_regex(serialize_regex(r)) == r
 
 
+def test_serialize_long_concatenation():
+    # 5000 nested Concat nodes; a recursive serializer overflows the stack.
+    assert serialize_regex(parse_regex("a" * 5000)) == "a" * 5000
+    assert serialize_regex(parse_regex("(a+b)*" * 2000)) == "(a+b)*" * 2000
+
+
 def test_star_height_pinned():
     assert star_height(parse_regex("a+b")) == 0
     assert star_height(parse_regex("ab*")) == 1
