@@ -21,8 +21,8 @@ from .errors import (CapacityError, DigrankError, DomainError, InputError,
                      ParseError, ResourceLimitError)
 from .regex import Regex, matches, parse_regex, serialize_regex, star_height
 from .widths import (BoundsReport, check_bounds, dpw_exact,
-                     is_weak_balanced_separator, min_weak_separator, rk,
-                     snum_exact, validate_path_decomposition, width)
+                     is_weak_balanced_separator, rk, snum_exact,
+                     validate_path_decomposition, width)
 
 __all__ = [
     "ApproxResult", "BoundsReport", "CapacityError",
@@ -34,7 +34,7 @@ __all__ = [
     "dpw_exact", "find_balanced_separator", "forest_to_path_decomposition",
     "induced", "is_acyclic", "is_bideterministic", "is_deterministic",
     "is_dfvs", "is_strongly_connected", "is_weak_balanced_separator",
-    "matches", "maximal_acyclic_subsets", "min_dfvs", "min_weak_separator",
+    "matches", "maximal_acyclic_subsets", "min_dfvs",
     "minimal_dfvs_enumerate", "nfa_accepts", "parse_automaton",
     "parse_digraph", "parse_forest", "parse_regex", "regex_to_nfa", "rk",
     "sc_subset_bound", "serialize_automaton", "serialize_digraph",

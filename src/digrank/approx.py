@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
-from .cyclerank import crank_exact
-from .digraph import (Digraph, _vertex_mask, induced, nontrivial_sccs_within,
+from .cyclerank import _optimal_trees
+from .digraph import (Digraph, _vertex_mask, nontrivial_sccs_within,
                       scc_mask_partition, strong_articulation_mask)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
@@ -154,14 +154,6 @@ def _resolve_threshold(base_threshold: int | str, n: int) -> int:
 def _base_tree(g: Digraph, w: frozenset[int]) -> EliminationNode:
     """Optimal tree when affordable, else smallest-pivot deletion order."""
     if len(w) <= EXACT_BASE_LIMIT:
-        mapping = sorted(w)
-        sub = induced(g, w)
-        (root,) = crank_exact(sub).witness.trees  # a strongly connected piece
-        return _relabel(root, mapping)
+        _, (root,), _ = _optimal_trees(g, [w])  # w is a strongly connected piece
+        return root
     return pivot_tree(g, w, min)
-
-
-def _relabel(node: EliminationNode, mapping: list[int]) -> EliminationNode:
-    return EliminationNode(mapping[node.pivot],
-                           frozenset(mapping[v] for v in node.scope),
-                           tuple(_relabel(c, mapping) for c in node.children))

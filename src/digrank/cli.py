@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
                            parents=[common])
     crank.add_argument("mode", choices=["exact", "brute", "approx"])
     crank.add_argument("graph", help="digraph file")
-    crank.add_argument("--base-threshold", default="auto",
+    crank.add_argument("--base-threshold", default=None,
                        help="approx: piece size that ends the recursion (int or 'auto')")
     crank.add_argument("--memo-limit", type=int, default=None,
                        help="exact: most memo entries before giving up (exit 3)")
@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     dfvs.add_argument("mode", choices=["min", "enumerate"])
     dfvs.add_argument("graph")
     dfvs.add_argument("--cap", type=int, default=None,
-                      help="enumerate: most feedback sets found before giving up (exit 3)")
+                      help="enumerate: most minimal feedback sets found before giving up (exit 3)")
 
     csc = sub.add_parser("count-sc", help="census of strongly connected vertex sets",
                          parents=[common])
@@ -137,6 +137,10 @@ def _metric(fmt: str, key: str, value) -> str:
 
 
 def _cmd_crank(args) -> int:
+    if args.memo_limit is not None and args.mode != "exact":
+        raise InputError("--memo-limit applies to 'crank exact' only")
+    if args.base_threshold is not None and args.mode != "approx":
+        raise InputError("--base-threshold applies to 'crank approx' only")
     g = _load_digraph(args.graph)
     if args.mode == "brute":
         print(_metric(args.format, "crank", crank_bruteforce(g)))
@@ -150,7 +154,8 @@ def _cmd_crank(args) -> int:
         if out:
             print(out, end="")
         return 0
-    res = crank_approx(g, base_threshold=args.base_threshold)
+    threshold = "auto" if args.base_threshold is None else args.base_threshold
+    res = crank_approx(g, base_threshold=threshold)
     print(_metric(args.format, "height", res.height))
     out = serialize_forest(res.forest)
     if out:

@@ -25,7 +25,7 @@ from .digraph import (
     reach_mask,
     scc_mask_partition,
 )
-from .elimination import EliminationForest, pivot_tree
+from .elimination import EliminationForest, EliminationNode, pivot_tree
 from .errors import CapacityError, InputError, ResourceLimitError
 
 EXACT_VERTEX_LIMIT = 64
@@ -70,8 +70,12 @@ def crank_bruteforce(g: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> int:
     return rank((1 << g.n) - 1)
 
 
-def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
-    """Cycle rank with an optimal elimination forest witness.
+def _optimal_trees(g: Digraph, scopes: list[frozenset[int]], memo_limit: int | None = None
+                   ) -> tuple[int, tuple[EliminationNode, ...], int]:
+    """Optimal trees of nontrivial strongly connected scopes of G.
+
+    Returns the largest rank over the scopes, the optimal pivot_tree of
+    each scope on G itself (vertex ids unchanged), and the memo size.
 
     One subproblem per nontrivial strongly connected subset X: the best
     rank of X over pivot choices, where pivoting on x costs 1 plus the
@@ -95,23 +99,23 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
     Neither rule skips a pivot that would be the first to reach the least
     cost, so ties still go to the smallest vertex id and the witness is
     the one the unpruned loop finds; only the memo holds fewer subsets.
+    Only the order of vertex ids matters, so a scope solved inside G gets
+    the tree of its induced copy, relabelled in order.
 
     memo_limit aborts with ResourceLimitError once the table would exceed
     that many subsets.
     """
-    if g.n > EXACT_VERTEX_LIMIT:
-        raise CapacityError(f"crank_exact limited to n <= {EXACT_VERTEX_LIMIT}, got n={g.n}")
-    t0 = time.perf_counter()
     succ = g.succ_masks
     pred = g.pred_masks
     loops = g.loop_mask
-    # mask of a nontrivial strongly connected subset -> (value << 7) | pivot
+    # mask of a nontrivial strongly connected subset -> (pivot << 7) | value; callers
+    # keep scopes within 64 vertices, so values fit 7 bits, and pivots are any id of G.
     memo: dict[int, int] = {}
 
     def solve(x_mask: int) -> int:
         packed = memo.get(x_mask)
         if packed is not None:
-            return packed >> 7
+            return packed & 0x7F
         best = 1 << 30
         best_pivot = -1
         lb = 1  # X is nontrivial, so its rank is at least 1
@@ -141,12 +145,11 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
         if memo_limit is not None and len(memo) >= memo_limit:
             raise ResourceLimitError(
                 f"crank_exact memo limit {memo_limit} exceeded", partial=len(memo))
-        memo[x_mask] = (best << 7) | best_pivot
+        memo[x_mask] = (best_pivot << 7) | best
         return best
 
-    top = nontrivial_sccs_within(g, g.vertices)
     value = 0
-    for comp in top:
+    for comp in scopes:
         v = solve(mask_of(comp))
         if v > value:
             value = v
@@ -155,10 +158,20 @@ def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
     solve = None
 
     def memo_pivot(scope: frozenset[int]) -> int:
-        return memo[mask_of(scope)] & 0x7F
+        return memo[mask_of(scope)] >> 7
 
-    witness = EliminationForest(tuple(pivot_tree(g, c, memo_pivot) for c in top))
-    return CrankResult(value, witness, len(memo), time.perf_counter() - t0)
+    return value, tuple(pivot_tree(g, c, memo_pivot) for c in scopes), len(memo)
+
+
+def crank_exact(g: Digraph, memo_limit: int | None = None) -> CrankResult:
+    """Cycle rank with an optimal elimination forest witness: the
+    _optimal_trees search on the nontrivial SCCs of G, with its memo_limit.
+    """
+    if g.n > EXACT_VERTEX_LIMIT:
+        raise CapacityError(f"crank_exact limited to n <= {EXACT_VERTEX_LIMIT}, got n={g.n}")
+    t0 = time.perf_counter()
+    value, trees, memo_size = _optimal_trees(g, nontrivial_sccs_within(g, g.vertices), memo_limit)
+    return CrankResult(value, EliminationForest(trees), memo_size, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

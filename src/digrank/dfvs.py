@@ -9,6 +9,7 @@ forced vertices separately.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
@@ -59,15 +60,15 @@ def _find_cycle(g: Digraph, sub: int) -> list[int] | None:
     return None
 
 
-def _feedback_masks(g: Digraph, k: int, cap: int | None = None) -> set[int]:
-    """Masks X with G - X acyclic, found by branching on at most k vertices.
+def _feedback_masks(g: Digraph, k: int) -> Iterator[int]:
+    """Masks X with G - X acyclic, found by branching on at most k vertices;
+    each is yielded once, when first found.
 
     Branch on the vertices of a cycle of the residual graph, excluding one
     per branch and forbidding the ones tried before it; a residual with a
     cycle branches only while fewer than k vertices are excluded.  Taking on
     each cycle its first vertex of a minimal feedback set X never forbids a
-    vertex of X, so X is reached in exactly |X| steps.  ``cap`` aborts with
-    ResourceLimitError once more sets than that have been found.
+    vertex of X, so X is reached in exactly |X| steps.
     """
     if g.n > DFVS_VERTEX_LIMIT:
         raise CapacityError(
@@ -79,10 +80,9 @@ def _feedback_masks(g: Digraph, k: int, cap: int | None = None) -> set[int]:
         excluded, forbidden = stack.pop()
         cycle = _find_cycle(g, full & ~excluded)
         if cycle is None:
-            found.add(excluded)
-            if cap is not None and len(found) > cap:
-                raise ResourceLimitError(
-                    f"feedback set cap {cap} exceeded", partial=len(found))
+            if excluded not in found:
+                found.add(excluded)
+                yield excluded
             continue
         if excluded.bit_count() >= k:
             continue
@@ -92,16 +92,21 @@ def _feedback_masks(g: Digraph, k: int, cap: int | None = None) -> set[int]:
             if not banned & cbit:
                 stack.append((excluded | cbit, banned))
             banned |= cbit
-    return found
 
 
 def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
     """All minimal directed feedback vertex sets, canonically sorted; a set
-    the search finds is minimal when putting back any vertex makes a cycle."""
+    the search finds is minimal when putting back any vertex makes a cycle.
+    ``cap`` aborts with ResourceLimitError past that many minimal sets."""
     succ = g.succ_masks
     full = (1 << g.n) - 1
-    sets = [set_of(x) for x in _feedback_masks(g, g.n, cap)
-            if all(not acyclic_mask(succ, full & ~x | (1 << v)) for v in bits(x))]
+    sets = []
+    for x in _feedback_masks(g, g.n):
+        if all(not acyclic_mask(succ, full & ~x | (1 << v)) for v in bits(x)):
+            sets.append(set_of(x))
+            if cap is not None and len(sets) > cap:
+                raise ResourceLimitError(
+                    f"minimal feedback set cap {cap} exceeded", partial=len(sets))
     sets.sort(key=sorted)
     return sets
 
@@ -130,7 +135,7 @@ def min_dfvs(g: Digraph) -> DfvsResult:
     minimum set; every minimum set is minimal, so all of them are found.
     """
     k = 0
-    while not (found := _feedback_masks(g, k)):
+    while not (found := list(_feedback_masks(g, k))):
         k += 1
     best = min((set_of(x) for x in found), key=sorted)
     return DfvsResult(best, k, set_of(g.loop_mask))

@@ -291,10 +291,6 @@ def nontrivial_sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozense
     return [c for c in sccs_within(g, vertices) if is_nontrivial_component(g, c)]
 
 
-def is_acyclic_within(g: Digraph, vertices: Iterable[int]) -> bool:
-    return acyclic_mask(g.succ_masks, _vertex_mask(g, vertices))
-
-
 def is_acyclic(g: Digraph) -> bool:
     """True iff G has no cycle; a loop counts as a cycle."""
     return acyclic_mask(g.succ_masks, (1 << g.n) - 1)

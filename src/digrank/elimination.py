@@ -126,12 +126,25 @@ def pivot_tree(g: Digraph, scope: frozenset[int],
     the tree is valid for the subgraph on scope and serializes canonically.
     A scope found in ``built`` is taken as that finished subtree.
     """
-    if built and scope in built:
-        return built[scope]
-    x = pivot_of(scope)
-    return EliminationNode(x, scope, tuple(
-        pivot_tree(g, c, pivot_of, built)
-        for c in nontrivial_sccs_within(g, scope - {x})))
+    # Frames (pivot, scope, child scopes, finished children) on an explicit
+    # stack, so depth is not bounded by recursion; the bottom one holds the root.
+    stack = [(None, None, [scope], [])]
+    while True:
+        x, s, comps, done = stack[-1]
+        if len(done) < len(comps):
+            c = comps[len(done)]
+            if built and c in built:
+                done.append(built[c])
+                continue
+            y = pivot_of(c)
+            if y not in c:  # c - {y} would be c again, without end
+                raise ValueError(f"pivot {y} not in scope {format_vertex_set(c)}")
+            stack.append((y, c, nontrivial_sccs_within(g, c - {y}), []))
+        elif len(stack) > 1:
+            stack.pop()
+            stack[-1][3].append(EliminationNode(x, s, tuple(done)))
+        else:
+            return done[0]
 
 
 def validate_forest(g: Digraph, forest: EliminationForest,

@@ -33,7 +33,6 @@ from .bitsets import bits, mask_of, set_of
 from .cyclerank import crank_exact
 from .digraph import (
     Digraph,
-    _vertex_mask,
     format_vertex_set,
     parse_vertex_set,
     scc_mask_partition,
@@ -180,16 +179,6 @@ def dpw_by_layout_enumeration(g: Digraph, limit: int = 7) -> int:
 # weak balanced separators
 
 
-@dataclass(frozen=True)
-class SeparatorCertificate:
-    """What min_weak_separator returns, kept as a certificate so that
-    is_weak_balanced_separator(g, c.target, c.separator) re-checks it
-    independently of the search that found it."""
-
-    target: frozenset[int]
-    separator: frozenset[int]
-
-
 def is_weak_balanced_separator(g: Digraph, u: frozenset[int] | set[int],
                                s: frozenset[int] | set[int]) -> bool:
     """True iff every SCC of the subgraph on U - S has at most
@@ -225,20 +214,6 @@ def least_separator(g: Digraph, u_mask: int, sizes: Iterable[int],
                    for c in scc_mask_partition(succ, pred, u_mask & ~s_mask)):
                 return s_mask
     raise AssertionError("unreachable: S = U always qualifies")
-
-
-def min_weak_separator(g: Digraph, u: frozenset[int] | set[int],
-                       limit: int = SNUM_VERTEX_LIMIT) -> SeparatorCertificate:
-    """Smallest weak balanced separator for U; ties go to the
-    lexicographically least vertex tuple.  Exhaustive by size.
-    """
-    if g.n > limit:
-        raise CapacityError(f"min_weak_separator limited to n <= {limit}, got n={g.n}")
-    u = frozenset(u)
-    u_mask = _vertex_mask(g, u)
-    m = len(u)
-    s_mask = least_separator(g, u_mask, range(m + 1), lambda k: (m - k + 1) // 2)
-    return SeparatorCertificate(u, set_of(s_mask))
 
 
 def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:

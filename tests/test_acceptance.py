@@ -31,7 +31,8 @@ from digrank import (
 )
 from digrank.automata import binarize, underlying_digraph
 from digrank.dfvs import is_dfvs, maximal_acyclic_subsets, minimal_dfvs_enumerate
-from digrank.digraph import Digraph, degrees, is_acyclic_within, is_strongly_connected
+from digrank.digraph import (Digraph, degrees, induced, is_acyclic,
+                             is_strongly_connected)
 from digrank.elimination import height
 from digrank.generate import (
     random_bideterministic,
@@ -203,7 +204,7 @@ def test_06_dfvs_duality():
             failures.append((g, "complement mismatch"))
         if any(not is_dfvs(g, d) for d in minimal):
             failures.append((g, "non-dfvs in enumeration"))
-        if any(not is_acyclic_within(g, m) for m in maximal):
+        if any(not is_acyclic(induced(g, m)) for m in maximal):
             failures.append((g, "cyclic maximal set"))
     _verdict(6, "dfvs duality", failures, "300 instances")
 

@@ -8,19 +8,22 @@ import pytest
 from digrank import (
     Digraph,
     EliminationForest,
+    EliminationNode,
     InputError,
     crank_approx,
     crank_exact,
     find_balanced_separator,
+    induced,
     validate_forest,
 )
-from digrank.approx import _resolve_threshold
+from digrank.approx import EXACT_BASE_LIMIT, _base_tree, _resolve_threshold
 from digrank.bitsets import bits, mask_of, set_of
 from digrank.digraph import nontrivial_sccs_within, scc_mask_partition, sccs_within
 from digrank.elimination import height, serialize_forest
 from digrank.generate import random_digraph, random_strongly_connected
 
-from common import chain, clique, cycle, loop_vertex
+from common import (bidirected_path, chain, clique, cycle,
+                    least_pivot_path_forest, loop_vertex)
 
 
 def residual_sccs_small(g, w, s, bound):
@@ -175,6 +178,41 @@ def test_approx_forest_bytes_are_pinned(n, digest, log_digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     log = repr(res.separator_log)
     assert hashlib.sha256(log.encode()).hexdigest() == log_digest
+
+
+def relabel(node, ids):
+    return EliminationNode(ids[node.pivot], frozenset(ids[v] for v in node.scope),
+                           tuple(relabel(c, ids) for c in node.children))
+
+
+def test_base_tree_matches_the_induced_copy():
+    # The exact base case solves a piece on the host graph's own masks.  It
+    # must give the witness of the piece's induced copy, relabelled in
+    # order.  The pieces sit at ids >= 128, past 7 bits, among other
+    # vertices and edges.
+    rng = random.Random(79)
+    for _ in range(300):
+        k = rng.randint(2, EXACT_BASE_LIMIT)
+        n = 128 + k + rng.randrange(40)
+        ids = sorted(rng.sample(range(128, n), k))
+        piece = random_strongly_connected(rng, k, extra_prob=rng.uniform(0.05, 0.4),
+                                          allow_loops=True)
+        edges = [(ids[a], ids[b]) for a, b in piece.edges]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        g = Digraph.from_edges(n, edges)
+        w = frozenset(ids)
+        (root,) = crank_exact(induced(g, w)).witness.trees
+        assert _base_tree(g, w) == relabel(root, ids), (sorted(g.edges), ids)
+
+
+def test_approx_deep_base_piece():
+    # One piece of 1200 vertices takes the smallest-pivot tree, a chain of
+    # 1199 nodes: deeper than Python's recursion limit.
+    g = bidirected_path(1200)
+    res = crank_approx(g, base_threshold=1200)
+    assert validate_forest(g, res.forest) == []
+    assert res.forest == least_pivot_path_forest(1200)
+    assert res.height == 1199
 
 
 def test_approx_separator_log_depths_grow_from_zero():

@@ -1,6 +1,7 @@
 """Command line behavior: outputs pinned byte-for-byte, exit codes, and
 the stdout/stderr split."""
 
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from digrank import serialize_digraph, serialize_forest
 from digrank.cli import main
+from digrank.generate import random_strongly_connected
 
 from common import bidirected_path, clique, least_pivot_path_forest
 
@@ -56,6 +58,19 @@ def test_crank_approx(graph, capsys):
 def test_crank_approx_flag_validation(graph, capsys, flags):
     code, _, err = run(capsys, ["crank", "approx", *flags, graph("k3.dg", K3)])
     assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("approx", ["--memo-limit", "1"]),
+    ("brute", ["--memo-limit", "5"]),
+    ("exact", ["--base-threshold", "7"]),
+    ("brute", ["--base-threshold", "auto"]),
+], ids=["approx-memo-limit", "brute-memo-limit", "exact-threshold", "brute-threshold"])
+def test_crank_rejects_flags_the_mode_ignores(graph, capsys, mode, flags):
+    code, out, err = run(capsys, ["crank", mode, *flags, graph("c3.dg", C3)])
+    assert (code, out) == (1, "")
     assert err.startswith("error:")
     assert "Traceback" not in err
 
@@ -163,6 +178,18 @@ def test_dfvs_enumerate_cap(graph, capsys):
     unlimited = run(capsys, ["dfvs", "enumerate", path])
     assert run(capsys, ["dfvs", "enumerate", "--cap", "3", path]) == unlimited
     assert run(capsys, ["dfvs", "enumerate", "--cap", "1000", path]) == unlimited
+
+
+def test_dfvs_enumerate_cap_counts_minimal_sets(graph, capsys):
+    # The search reaches 13 feedback sets here, 7 of them minimal.
+    g = random_strongly_connected(random.Random(3), 7, max_outdeg=3)
+    path = graph("g.dg", serialize_digraph(g))
+    unlimited = run(capsys, ["dfvs", "enumerate", path])
+    assert unlimited[1].startswith("count 7\n")
+    assert run(capsys, ["dfvs", "enumerate", "--cap", "7", path]) == unlimited
+    code, out, err = run(capsys, ["dfvs", "enumerate", "--cap", "6", path])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("mode, cap", [

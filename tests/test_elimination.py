@@ -226,3 +226,10 @@ def test_pivot_tree_is_valid_under_any_pivot_rule(case):
         pivot_tree(g, c, highest) for c in nontrivial_sccs_within(g, g.vertices)))
     assert validate_forest(g, forest) == []
     assert height(forest) >= crank_exact(g).value
+
+
+def test_pivot_tree_rejects_a_pivot_outside_its_scope():
+    # The scope minus such a pivot is the scope again, so the tree would
+    # never end.
+    with pytest.raises(ValueError):
+        pivot_tree(cycle(3), frozenset(range(3)), lambda scope: 7)
