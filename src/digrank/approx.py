@@ -67,9 +67,8 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
     the smallest id, is the best-scoring SAP or the smallest-id non-SAP,
     as if every candidate were partitioned.  SAPs come from dominators
     (Italiano, Laura, Santaroni, "Finding strong bridges and strong
-    articulation points in linear time", TCS 2012; Cooper, Harvey,
-    Kennedy, "A simple, fast dominance algorithm", 2001);
-    see digraph.strong_articulation_mask.
+    articulation points in linear time", TCS 2012), held as one
+    dominator-set mask per vertex; see digraph.strong_articulation_mask.
     """
     w = frozenset(w)
     w_mask = _vertex_mask(g, w)

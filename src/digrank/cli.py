@@ -9,6 +9,7 @@ across runs on the same inputs and seed; wall-clock timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -18,12 +19,12 @@ from importlib import metadata
 from .approx import crank_approx
 from .automata import (binarize, parse_automaton, serialize_automaton,
                        star_height_bidet, walk_language_automaton)
-from .cyclerank import count_sc_subsets, crank_bruteforce, crank_exact, sc_subset_bound
+from .cyclerank import (EXACT_VERTEX_LIMIT, count_sc_subsets, crank_bruteforce, crank_exact,
+                        sc_subset_bound)
 from .dfvs import min_dfvs, minimal_dfvs_enumerate
 from .digraph import Digraph, format_vertex_set, parse_digraph
 from .elimination import parse_forest, serialize_forest, validate_forest
-from .errors import (CapacityError, DigrankError, DomainError, InputError,
-                     ParseError, ResourceLimitError)
+from .errors import CapacityError, DigrankError, InputError
 from .generate import random_strongly_connected
 from .regex import parse_regex, star_height
 from .widths import check_bounds, dpw_exact, serialize_path_decomposition, snum_exact
@@ -107,7 +108,8 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="benchmarks", parents=[common])
     bench.add_argument("target", choices=["crank"])
-    bench.add_argument("--n", type=int, required=True, help="vertex count (<= 64)")
+    bench.add_argument("--n", type=int, required=True,
+                       help=f"vertex count (<= {EXACT_VERTEX_LIMIT})")
     bench.add_argument("--outdeg", type=int, default=2, help="max outdegree")
     bench.add_argument("--trials", type=int, default=10)
     bench.add_argument("--seed", type=int, default=0)
@@ -263,8 +265,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.n < 0 or args.n > 64:
-        raise CapacityError(f"bench requires 0 <= n <= 64, got {args.n}")
+    if not 0 <= args.n <= EXACT_VERTEX_LIMIT:
+        raise CapacityError(
+            f"bench requires 0 <= n <= {EXACT_VERTEX_LIMIT}, got {args.n}")
     if args.trials < 0:
         raise InputError("--trials must be nonnegative")
     if args.outdeg < 1:
@@ -309,22 +312,28 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `digrank ... | head -1`).
+        # Point the descriptor at devnull so the flush at exit stays
+        # silent instead of printing a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ParseError, InputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CapacityError, ResourceLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except DigrankError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, InputError):
+            return 1
+        return 3 if isinstance(e, CapacityError) else 2
 
 
 if __name__ == "__main__":

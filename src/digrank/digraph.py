@@ -161,8 +161,9 @@ def strong_articulation_mask(succ_masks, pred_masks, comp: int) -> int:
     is a nontrivial dominator from r, in G[comp] or in its reverse: v
     dominates some w != v from r there (Italiano, Laura, Santaroni,
     "Finding strong bridges and strong articulation points in linear
-    time", TCS 2012).  r itself is one when comp - r splits, which two
-    reach_mask sweeps from another vertex decide.
+    time", TCS 2012).  The dominators come from one dominator-set mask
+    per vertex; see _nontrivial_dominators.  r itself is one when comp - r
+    splits, which two reach_mask sweeps from another vertex decide.
     """
     r = (comp & -comp).bit_length() - 1
     saps = (_nontrivial_dominators(succ_masks, pred_masks, comp, r)
@@ -177,60 +178,44 @@ def strong_articulation_mask(succ_masks, pred_masks, comp: int) -> int:
 
 
 def _nontrivial_dominators(succ_masks, pred_masks, comp: int, r: int) -> int:
-    """Mask of the vertices other than r that are the immediate dominator
-    of some vertex of the flowgraph on ``comp`` rooted at r, following
-    succ_masks (every vertex of comp must be reachable from r).
+    """Mask of the vertices other than r that dominate some other vertex
+    of the flowgraph on ``comp`` rooted at r, following succ_masks (every
+    vertex of comp must be reachable from r).
 
-    Cooper, Harvey, Kennedy, "A simple, fast dominance algorithm" (2001):
-    visit the vertices in reverse postorder of a depth-first search from
-    r, setting each one's idom to the nearest common ancestor, in the
-    current idom tree, of its predecessors already given one; repeat
-    until nothing changes.
+    v's dominators, the vertices on every path from r to v, are the
+    greatest solution of dom[r] = {r}, dom[v] = {v} | (the meet of dom[p]
+    over v's predecessors p in comp).  Every set starts at comp, above
+    that solution, and each update keeps it above: the meet of supersets
+    is a superset.  The sets only shrink, so the sweeps stop, and they
+    stop at a solution, hence at the greatest one.  Visiting the vertices
+    in breadth-first layers from r lets most sets settle in one sweep.
     """
-    n = len(succ_masks)
-    post = [0] * n
-    order = []  # postorder; r comes last
+    order = []
     seen = 1 << r
-    stack = [(r, succ_masks[r] & comp)]
-    while stack:
-        v, todo = stack[-1]
-        todo &= ~seen
-        if todo:
-            low = todo & -todo
-            stack[-1] = (v, todo ^ low)
-            seen |= low
-            w = low.bit_length() - 1
-            stack.append((w, succ_masks[w] & comp))
-        else:
-            stack.pop()
-            post[v] = len(order)
-            order.append(v)
-    rpo = order[-2::-1]
-    preds = [list(bits(pred_masks[v] & comp)) for v in rpo]
-    idom = [-1] * n
-    idom[r] = r
+    frontier = succ_masks[r] & comp & ~seen
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        for v in bits(frontier):
+            order.append((v, list(bits(pred_masks[v] & comp))))
+            nxt |= succ_masks[v]
+        frontier = nxt & comp & ~seen
+    dom = [comp] * len(succ_masks)
+    dom[r] = 1 << r
     changed = True
     while changed:
         changed = False
-        for v, ps in zip(rpo, preds):
-            new = -1
+        for v, ps in order:
+            d = comp
             for p in ps:
-                if idom[p] < 0:
-                    continue
-                if new < 0:
-                    new = p
-                    continue
-                while p != new:
-                    while post[p] < post[new]:
-                        p = idom[p]
-                    while post[new] < post[p]:
-                        new = idom[new]
-            if idom[v] != new:
-                idom[v] = new
+                d &= dom[p]
+            d |= 1 << v
+            if d != dom[v]:
+                dom[v] = d
                 changed = True
     doms = 0
-    for v in rpo:
-        doms |= 1 << idom[v]
+    for v, _ in order:
+        doms |= dom[v] ^ (1 << v)
     return doms & ~(1 << r)
 
 

@@ -25,7 +25,7 @@ this package.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .digraph import (
@@ -147,14 +147,9 @@ def pivot_tree(g: Digraph, scope: frozenset[int],
             return done[0]
 
 
-def validate_forest(g: Digraph, forest: EliminationForest,
-                    vertices: Iterable[int] | None = None) -> list[str]:
-    """Check the forest conditions; returns a list of violations, empty if ok.
-
-    ``vertices`` restricts the host graph to an induced subgraph (scopes
-    stay in original labels); by default the whole of G is the host.
-    """
-    domain = set(g.vertices) if vertices is None else set(vertices)
+def validate_forest(g: Digraph, forest: EliminationForest) -> list[str]:
+    """Check the forest conditions; returns a list of violations, empty if ok."""
+    domain = set(g.vertices)
     violations: list[str] = []
 
     seen_scopes: dict[frozenset[int], int] = {}
@@ -205,16 +200,14 @@ def validate_forest(g: Digraph, forest: EliminationForest,
     return violations
 
 
-def forest_to_path_decomposition(g: Digraph, forest: EliminationForest,
-                                 vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
+def forest_to_path_decomposition(g: Digraph, forest: EliminationForest) -> list[frozenset[int]]:
     """Directed path decomposition of width at most height(forest).
 
     Walks the SCCs of the host in topological order; a trivial component
     becomes a singleton bag, a nontrivial one descends into its tree with
     the pivot added to every inner bag.
     """
-    domain = set(g.vertices) if vertices is None else set(vertices)
-    problems = validate_forest(g, forest, domain)
+    problems = validate_forest(g, forest)
     if problems:
         raise DomainError("invalid elimination forest: " + "; ".join(problems))
 
@@ -222,7 +215,7 @@ def forest_to_path_decomposition(g: Digraph, forest: EliminationForest,
     # so depth is not bounded by recursion; a finished bag is pushed as
     # (bag, None, None) to keep the components' order.
     bags: list[frozenset[int]] = []
-    todo = [(domain, frozenset(), {t.scope: t for t in forest.trees})]
+    todo = [(frozenset(g.vertices), frozenset(), {t.scope: t for t in forest.trees})]
     while todo:
         verts, pivots, by_scope = todo.pop()
         if by_scope is None:

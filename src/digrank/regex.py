@@ -20,37 +20,85 @@ MAX_PAREN_DEPTH = 100  # parse_regex spends 4 frames per level of nesting
 
 
 class Regex:
-    __slots__ = ()
+    """Base of the AST nodes.
+
+    Each node stores its hash, computed once from its children's stored
+    hashes, and equality walks an explicit stack, so neither is bounded by
+    the recursion limit on long concatenations (a word nests as deep as it
+    is long).
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), self._fields())))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and pickles go through __init__, so the hash is computed
+        # afresh: a str hash differs from one process to the next.
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        # The cache of _derivative compares many equal but distinct leaves
+        # and small trees, so those return before the stack is built.
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, Regex) else NotImplemented
+        if self._hash != other._hash:
+            return False
+        if not self.__match_args__:  # EmptySet, EmptyWord
+            return True
+        todo = [(self, other)]
+        for a, b in todo:
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is Symbol:
+                if a.char != b.char:
+                    return False
+            elif type(a) is Star:
+                todo.append((a.inner, b.inner))
+            elif type(a) is Union or type(a) is Concat:
+                todo += ((a.left, b.left), (a.right, b.right))
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmptySet(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmptyWord(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol(Regex):
     char: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Regex):
     inner: Regex
 

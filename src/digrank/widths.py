@@ -26,7 +26,6 @@ with R_k(n) = n for n <= k.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, set_of
@@ -196,18 +195,18 @@ def is_weak_balanced_separator(g: Digraph, u: frozenset[int] | set[int],
     return all(len(c) <= bound for c in sccs_within(g, rest))
 
 
-def least_separator(g: Digraph, u_mask: int, sizes: Iterable[int],
-                    bound_of: Callable[[int], int]) -> int:
-    """Mask of the first S inside U, by size in the order given and then
-    lexicographically, leaving every SCC of U - S at most bound_of(|S|)
-    vertices; one SCC partition per candidate.  The sizes must reach |U|,
-    where S = U always qualifies.
+def least_separator(g: Digraph, u_mask: int) -> int:
+    """Mask of the least weak balanced separator S of U: the first S inside
+    U, by size and then lexicographically, leaving every SCC of U - S at
+    most ceil(|U - S| / 2) vertices; one SCC partition per candidate.
+    S = U always qualifies.
     """
     succ = g.succ_masks
     pred = g.pred_masks
     verts = list(bits(u_mask))
-    for k in sizes:
-        bound = bound_of(k)
+    m = len(verts)
+    for k in range(m + 1):
+        bound = (m - k + 1) // 2
         for combo in itertools.combinations(verts, k):
             s_mask = mask_of(combo)
             if all(c.bit_count() <= bound
@@ -230,8 +229,7 @@ def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:
         m = u_mask.bit_count()
         if m <= best:
             break  # min separator size never exceeds |U|
-        s_mask = least_separator(g, u_mask, range(m + 1), lambda k: (m - k + 1) // 2)
-        best = max(best, s_mask.bit_count())
+        best = max(best, least_separator(g, u_mask).bit_count())
     return best
 
 

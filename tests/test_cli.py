@@ -354,3 +354,20 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "sh 1\n"
+
+
+@pytest.mark.parametrize("n, mode", [(300, "approx"), (3, "exact")],
+                         ids=["large-output", "small-output"])
+def test_closed_stdout_exits_without_traceback(graph, n, mode):
+    # The large forest fails while the handler prints; the small one only
+    # in the flush at exit.  Either way the reader is gone before the
+    # child writes.
+    path = graph("g.dg", serialize_digraph(
+        random_strongly_connected(random.Random(n), n, max_outdeg=3)))
+    proc = subprocess.Popen([sys.executable, "-m", "digrank", "crank", mode, path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert 0 <= proc.wait() <= 3
+    assert "Traceback" not in err and "Error" not in err, err

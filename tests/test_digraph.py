@@ -18,9 +18,11 @@ from digrank import (
 )
 from digrank.bitsets import mask_of
 from digrank.digraph import (
+    _nontrivial_dominators,
     format_vertex_set,
     nontrivial_sccs_within,
     parse_vertex_set,
+    reach_mask,
     scc_mask_partition,
     sccs_within,
     strong_articulation_mask,
@@ -160,6 +162,29 @@ def test_strong_articulation_points_match_brute_force():
         for comp in comps:
             assert (strong_articulation_mask(g.succ_masks, g.pred_masks, comp)
                     == brute_force_saps(g, comp)), (g.edges, comp)
+
+
+def test_nontrivial_dominators_match_definition():
+    # v != r dominates some other vertex from r exactly when deleting v
+    # cuts some vertex of comp off from r; checked in each direction.
+    rng = random.Random(131)
+    for _ in range(120):
+        n = rng.randint(1, 60)
+        g = random_strongly_connected(
+            rng, n, max_outdeg=rng.choice([None, 1, 2, 3]),
+            extra_prob=rng.uniform(0.0, 0.3), allow_loops=True)
+        full = (1 << n) - 1
+        for comp in [full, *scc_mask_partition(g.succ_masks, g.pred_masks, full >> 1)]:
+            r = rng.choice([v for v in range(n) if comp >> v & 1])
+            for succ, pred in [(g.succ_masks, g.pred_masks),
+                               (g.pred_masks, g.succ_masks)]:
+                cut = 0
+                for v in range(n):
+                    rest = comp & ~(1 << v)
+                    if v != r and comp >> v & 1 and reach_mask(succ, rest, r) != rest:
+                        cut |= 1 << v
+                assert _nontrivial_dominators(succ, pred, comp, r) == cut, (
+                    g.edges, comp, r)
 
 
 @pytest.mark.parametrize("g, saps", [

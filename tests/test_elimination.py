@@ -100,12 +100,6 @@ def test_validate_rejects_missing_child():
     assert any("is not a" in v for v in violations)
 
 
-def test_validate_with_restricted_host():
-    # Host restricted to {0,1,2} of C_4: the cycle is broken, no roots.
-    assert validate_forest(cycle(4), EliminationForest(), {0, 1, 2}) == []
-    assert validate_forest(cycle(4), EliminationForest(), None) != []
-
-
 def test_conversion_c3():
     bags = forest_to_path_decomposition(cycle(3), C3_FOREST)
     assert bags == [frozenset({0, 1}), frozenset({0, 2})]

@@ -5,6 +5,7 @@ over the AST with all split points tried; slow but an independent path
 from the derivative-based matcher under test.
 """
 
+import pickle
 import random
 from functools import lru_cache
 
@@ -162,3 +163,21 @@ def test_regex_nodes_are_hashable_values():
     assert parse_regex("a+b") == parse_regex("a+b")
     assert len({parse_regex("a"), parse_regex("a"), parse_regex("b")}) == 2
     assert isinstance(parse_regex("a"), Regex)
+
+
+def test_long_concatenation_hash_and_equality():
+    # 5000 nested Concat nodes; a recursive hash or == overflows the stack.
+    r, s = parse_regex("a" * 5000), parse_regex("a" * 5000)
+    t = parse_regex("a" * 4999 + "b")
+    assert r is not s
+    assert hash(r) == hash(s)
+    assert r == s and not r != s
+    assert r != t and not r == t
+    assert not Union(A, B) == Concat(A, B)
+    assert Star(A) != A
+
+
+def test_pickled_regex_keeps_value_and_hash():
+    r = parse_regex("(a+b)*c@#")
+    s = pickle.loads(pickle.dumps(r))
+    assert s == r and hash(s) == hash(r)

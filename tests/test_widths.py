@@ -122,11 +122,8 @@ def test_dpw_capacity_limit():
 
 
 def least_weak_separator(g, u):
-    """The separator snum_exact takes for U: least_separator under the
-    weak balanced budget ceil(|U - S| / 2)."""
-    m = len(u)
-    return set_of(least_separator(g, mask_of(u), range(m + 1),
-                                  lambda k: (m - k + 1) // 2))
+    """The separator snum_exact takes for U."""
+    return set_of(least_separator(g, mask_of(u)))
 
 
 def first_weak_separator(g, u):
