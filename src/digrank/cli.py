@@ -152,16 +152,12 @@ def _cmd_crank(args) -> int:
             raise InputError("--memo-limit must be positive")
         res = crank_exact(g, memo_limit=args.memo_limit)
         print(_metric(args.format, "crank", res.value))
-        out = serialize_forest(res.witness)
-        if out:
-            print(out, end="")
+        print(serialize_forest(res.witness), end="")
         return 0
     threshold = "auto" if args.base_threshold is None else args.base_threshold
     res = crank_approx(g, base_threshold=threshold)
     print(_metric(args.format, "height", res.height))
-    out = serialize_forest(res.forest)
-    if out:
-        print(out, end="")
+    print(serialize_forest(res.forest), end="")
     return 0
 
 
@@ -186,9 +182,7 @@ def _cmd_dpw(args) -> int:
         # Degenerate case: no vertices means no bags, and "largest bag
         # minus one" is undefined; the 0 above is a convention.
         print(_metric(args.format, "empty", "yes"))
-    out = serialize_path_decomposition(bags)
-    if out:
-        print(out, end="")
+    print(serialize_path_decomposition(bags), end="")
     return 0
 
 
@@ -248,9 +242,7 @@ def _cmd_sh(args) -> int:
     a = parse_automaton(_read(args.source), as_dfa_flag=True)
     value, witness = star_height_bidet(a)
     print(_metric(args.format, "sh", value))
-    out = serialize_forest(witness)
-    if out:
-        print(out, end="")
+    print(serialize_forest(witness), end="")
     return 0
 
 

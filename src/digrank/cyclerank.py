@@ -30,6 +30,7 @@ from .errors import CapacityError, InputError, ResourceLimitError
 
 EXACT_VERTEX_LIMIT = 64
 BRUTE_FORCE_LIMIT = 10
+CENSUS_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,14 @@ class CrankResult:
     elapsed: float
 
 
-def crank_bruteforce(g: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> int:
+def crank_bruteforce(g: Digraph) -> int:
     """Literal evaluation of the defining recursion, for cross-checking.
 
     Memoization on vertex subsets is a pure cache; the recursion itself is
     the definition, case by case.
     """
-    if g.n > limit:
-        raise CapacityError(f"crank_bruteforce limited to n <= {limit}, got n={g.n}")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise CapacityError(f"crank_bruteforce limited to n <= {BRUTE_FORCE_LIMIT}, got n={g.n}")
     succ = g.succ_masks
     pred = g.pred_masks
     cache: dict[int, int] = {}
@@ -234,10 +235,10 @@ def count_sc_subsets(g: Digraph) -> SubsetCensus:
     return SubsetCensus(nontrivial, total)
 
 
-def count_sc_subsets_bruteforce(g: Digraph, limit: int = 16) -> SubsetCensus:
+def count_sc_subsets_bruteforce(g: Digraph) -> SubsetCensus:
     """Exhaustive 2^n census, the independent oracle for count_sc_subsets."""
-    if g.n > limit:
-        raise CapacityError(f"exhaustive census limited to n <= {limit}, got n={g.n}")
+    if g.n > CENSUS_LIMIT:
+        raise CapacityError(f"exhaustive census limited to n <= {CENSUS_LIMIT}, got n={g.n}")
     succ = g.succ_masks
     pred = g.pred_masks
     loops = g.loop_mask

@@ -1,5 +1,5 @@
 """Regular expressions: a small immutable AST, a parser, star height,
-and a derivative-based matcher.
+and a matcher on the position automaton.
 
 Concrete syntax: ``#`` is the empty set, ``@`` the empty word, ``+``
 union, juxtaposition concatenation, postfix ``*`` iteration, parentheses
@@ -11,8 +11,9 @@ than union.  Symbols are single characters outside the reserved set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
+from .bitsets import bits
 from .errors import InputError, ParseError
 
 RESERVED = set("#@+*()")
@@ -22,44 +23,23 @@ MAX_PAREN_DEPTH = 100  # parse_regex spends 4 frames per level of nesting
 class Regex:
     """Base of the AST nodes.
 
-    Each node stores its hash, computed once from its children's stored
-    hashes, and equality walks an explicit stack, so neither is bounded by
-    the recursion limit on long concatenations (a word nests as deep as it
-    is long).
+    ``==``, ``hash`` and ``repr`` walk explicit stacks, so none is bounded
+    by the recursion limit on long concatenations (a word nests as deep as
+    it is long).
     """
 
-    __slots__ = ("_hash",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self), self._fields())))
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
     def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Copies and pickles go through __init__, so the hash is computed
-        # afresh: a str hash differs from one process to the next.
-        return type(self), self._fields()
+        # Equal trees serialize equally.
+        return hash(serialize_regex(self))
 
     def __eq__(self, other):
-        # The cache of _derivative compares many equal but distinct leaves
-        # and small trees, so those return before the stack is built.
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return False if isinstance(other, Regex) else NotImplemented
-        if self._hash != other._hash:
-            return False
-        if not self.__match_args__:  # EmptySet, EmptyWord
-            return True
+        if not isinstance(other, Regex):
+            return NotImplemented
         todo = [(self, other)]
         for a, b in todo:
             if a is b:
                 continue
-            if type(a) is not type(b) or a._hash != b._hash:
+            if type(a) is not type(b):
                 return False
             if type(a) is Symbol:
                 if a.char != b.char:
@@ -70,35 +50,100 @@ class Regex:
                 todo += ((a.left, b.left), (a.right, b.right))
         return True
 
+    def __repr__(self):
+        # The text the generated dataclass repr would print.
+        parts = []
+        todo: list[str | Regex] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(")
+            todo.append(")")
+            names = item.__match_args__
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[i])
+                todo.append(value if isinstance(value, Regex) else repr(value))
+                todo.append(f"{', ' if i else ''}{names[i]}=")
+        return "".join(parts)
 
-@dataclass(frozen=True, eq=False)
+    @cached_property
+    def _positions(self) -> tuple[bool, int, int, dict[str, int], list[int]]:
+        """The position automaton (Glushkov; McNaughton and Yamada): one
+        position per Symbol leaf, numbered left to right.  Returns whether
+        the empty word is in the language, the masks of positions that can
+        start and end a word, each symbol's mask of positions, and each
+        position's mask of positions that can follow it."""
+        on: dict[str, int] = {}
+        follow: list[int] = []
+        # Post-order on an explicit stack, as in regex_to_nfa: a node's
+        # (nullable, first, last) goes on ``built`` once its children's do.
+        built: list[tuple[bool, int, int]] = []
+        todo: list[tuple[Regex, bool]] = [(self, False)]
+        while todo:
+            node, ready = todo.pop()
+            if not ready and isinstance(node, (Union, Concat)):
+                todo += [(node, True), (node.right, False), (node.left, False)]
+            elif not ready and isinstance(node, Star):
+                todo += [(node, True), (node.inner, False)]
+            elif isinstance(node, Symbol):
+                p = 1 << len(follow)
+                follow.append(0)
+                on[node.char] = on.get(node.char, 0) | p
+                built.append((False, p, p))
+            elif isinstance(node, Star):
+                _, first, last = built.pop()
+                for p in bits(last):
+                    follow[p] |= first
+                built.append((True, first, last))
+            elif isinstance(node, Union):
+                r_null, r_first, r_last = built.pop()
+                l_null, l_first, l_last = built.pop()
+                built.append((l_null or r_null, l_first | r_first, l_last | r_last))
+            elif isinstance(node, Concat):
+                r_null, r_first, r_last = built.pop()
+                l_null, l_first, l_last = built.pop()
+                for p in bits(l_last):
+                    follow[p] |= r_first
+                built.append((l_null and r_null, l_first | (r_first if l_null else 0),
+                              r_last | (l_last if r_null else 0)))
+            elif isinstance(node, (EmptySet, EmptyWord)):
+                built.append((isinstance(node, EmptyWord), 0, 0))
+            else:
+                raise InputError(f"unknown node {node!r}")
+        [(nullable, first, last)] = built
+        return nullable, first, last, on, follow
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class EmptySet(Regex):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EmptyWord(Regex):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Symbol(Regex):
     char: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Concat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Star(Regex):
     inner: Regex
 
@@ -244,61 +289,19 @@ def star_height(r: Regex) -> int:
     return best
 
 
-def nullable(r: Regex) -> bool:
-    """True iff the language of r contains the empty word."""
-    if isinstance(r, (EmptyWord, Star)):
-        return True
-    if isinstance(r, Union):
-        return nullable(r.left) or nullable(r.right)
-    if isinstance(r, Concat):
-        return nullable(r.left) and nullable(r.right)
-    return False
-
-
-@lru_cache(maxsize=None)
-def _derivative(r: Regex, c: str) -> Regex:
-    if isinstance(r, (EmptySet, EmptyWord)):
-        return EmptySet()
-    if isinstance(r, Symbol):
-        return EmptyWord() if r.char == c else EmptySet()
-    if isinstance(r, Union):
-        return _union(_derivative(r.left, c), _derivative(r.right, c))
-    if isinstance(r, Concat):
-        d = _concat(_derivative(r.left, c), r.right)
-        if nullable(r.left):
-            return _union(d, _derivative(r.right, c))
-        return d
-    if isinstance(r, Star):
-        return _concat(_derivative(r.inner, c), r)
-    raise InputError(f"unknown node {r!r}")
-
-
-def _union(a: Regex, b: Regex) -> Regex:
-    # light smart constructors keep derivative chains small
-    if isinstance(a, EmptySet):
-        return b
-    if isinstance(b, EmptySet):
-        return a
-    if a == b:
-        return a
-    return Union(a, b)
-
-
-def _concat(a: Regex, b: Regex) -> Regex:
-    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
-        return EmptySet()
-    if isinstance(a, EmptyWord):
-        return b
-    if isinstance(b, EmptyWord):
-        return a
-    return Concat(a, b)
-
-
 def matches(r: Regex, word: str) -> bool:
-    """Membership by successive derivatives.  Independent of any automaton
-    machinery, so it can cross-check translations."""
-    for c in word:
-        r = _derivative(r, c)
-        if isinstance(r, EmptySet):
-            return False
-    return nullable(r)
+    """Membership on r's position automaton, built on the first call and
+    kept on r.  Independent of any NFA machinery, so it can cross-check
+    translations."""
+    nullable, first, last, on, follow = r._positions
+    if not word:
+        return nullable
+    cur = first & on.get(word[0], 0)
+    for c in word[1:]:
+        nxt = 0
+        while cur:
+            low = cur & -cur
+            nxt |= follow[low.bit_length() - 1]
+            cur ^= low
+        cur = nxt & on.get(c, 0)
+    return bool(cur & last)

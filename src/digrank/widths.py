@@ -41,6 +41,7 @@ from .errors import CapacityError, InputError, ParseError
 
 DPW_VERTEX_LIMIT = 20
 SNUM_VERTEX_LIMIT = 15
+LAYOUT_LIMIT = 7
 
 Bags = list[frozenset[int]]
 
@@ -89,7 +90,7 @@ def width(bags: Bags) -> int:
 # exact directed pathwidth
 
 
-def dpw_exact(g: Digraph, limit: int = DPW_VERTEX_LIMIT) -> tuple[int, Bags]:
+def dpw_exact(g: Digraph) -> tuple[int, Bags]:
     """Minimum directed pathwidth with a witness decomposition.
 
     Searches over vertex deletion orders: after deleting the set D, every
@@ -99,8 +100,8 @@ def dpw_exact(g: Digraph, limit: int = DPW_VERTEX_LIMIT) -> tuple[int, Bags]:
     orders, minus one, is dpw(G); iterative deepening over the width with a
     memoized set of failed states keeps the search tame.
     """
-    if g.n > limit:
-        raise CapacityError(f"dpw_exact limited to n <= {limit}, got n={g.n}")
+    if g.n > DPW_VERTEX_LIMIT:
+        raise CapacityError(f"dpw_exact limited to n <= {DPW_VERTEX_LIMIT}, got n={g.n}")
     n = g.n
     if n == 0:
         return 0, []
@@ -147,10 +148,10 @@ def dpw_exact(g: Digraph, limit: int = DPW_VERTEX_LIMIT) -> tuple[int, Bags]:
     raise AssertionError("unreachable: width n-1 always admits an order")
 
 
-def dpw_by_layout_enumeration(g: Digraph, limit: int = 7) -> int:
+def dpw_by_layout_enumeration(g: Digraph) -> int:
     """Brute-force oracle: try every deletion order (n! of them)."""
-    if g.n > limit:
-        raise CapacityError(f"layout enumeration limited to n <= {limit}, got n={g.n}")
+    if g.n > LAYOUT_LIMIT:
+        raise CapacityError(f"layout enumeration limited to n <= {LAYOUT_LIMIT}, got n={g.n}")
     n = g.n
     if n == 0:
         return 0
@@ -215,15 +216,15 @@ def least_separator(g: Digraph, u_mask: int) -> int:
     raise AssertionError("unreachable: S = U always qualifies")
 
 
-def snum_exact(g: Digraph, limit: int = SNUM_VERTEX_LIMIT) -> int:
+def snum_exact(g: Digraph) -> int:
     """max over U of the minimum weak balanced separator size for U.
 
     Doubly exponential enumeration; U ranges over subsets in decreasing
     cardinality with a running bound so most subsets only need to be
     cleared, not solved.
     """
-    if g.n > limit:
-        raise CapacityError(f"snum_exact limited to n <= {limit}, got n={g.n}")
+    if g.n > SNUM_VERTEX_LIMIT:
+        raise CapacityError(f"snum_exact limited to n <= {SNUM_VERTEX_LIMIT}, got n={g.n}")
     best = 0
     for u_mask in sorted(range(1, 1 << g.n), key=int.bit_count, reverse=True):
         m = u_mask.bit_count()

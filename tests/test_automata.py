@@ -1,7 +1,7 @@
 """Automata: bideterminism, star height transfer, and the two recodings.
 
 Membership questions are settled two independent ways throughout: the
-subset-simulating nfa_accepts against the derivative-based regex matcher,
+subset-simulating nfa_accepts against the position-automaton regex matcher,
 and original-versus-recoded automata against each other.
 """
 

@@ -2,7 +2,7 @@
 
 The matcher oracle below decides membership denotationally, by recursion
 over the AST with all split points tried; slow but an independent path
-from the derivative-based matcher under test.
+from the position-automaton matcher under test.
 """
 
 import pickle
@@ -10,6 +10,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import ParseError, Regex, matches, parse_regex, serialize_regex
 from digrank.generate import random_regex, random_words
@@ -20,7 +21,6 @@ from digrank.regex import (
     Star,
     Symbol,
     Union,
-    nullable,
     star_height,
     symbols_of,
 )
@@ -125,12 +125,12 @@ def test_star_height_takes_max_across_branches():
 
 
 def test_nullable_pinned():
-    assert nullable(EmptyWord())
-    assert nullable(Star(A))
-    assert nullable(Union(A, EmptyWord()))
-    assert not nullable(A)
-    assert not nullable(EmptySet())
-    assert not nullable(Concat(Star(A), B))
+    assert matches(EmptyWord(), "")
+    assert matches(Star(A), "")
+    assert matches(Union(A, EmptyWord()), "")
+    assert not matches(A, "")
+    assert not matches(EmptySet(), "")
+    assert not matches(Concat(Star(A), B), "")
 
 
 def test_symbols_of():
@@ -147,6 +147,9 @@ def test_matches_pinned():
     assert matches(parse_regex("@"), "")
     assert not matches(parse_regex("#"), "")
     assert matches(parse_regex("(a*b)*"), "abaab")
+    assert not matches(parse_regex("a*"), "c")  # a letter r never uses
+    assert not matches(parse_regex("a#"), "a")
+    assert matches(parse_regex("a#*"), "a")
 
 
 def test_matches_agrees_with_reference():
@@ -157,6 +160,37 @@ def test_matches_agrees_with_reference():
             w = "".join(word)
             assert matches(r, w) == language_member(r, w), (
                 serialize_regex(r), w)
+
+
+regexes = st.recursive(
+    st.sampled_from([EmptySet(), EmptyWord(), A, B]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner),
+                            st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(regexes, st.text("ab", max_size=6))
+def test_roundtrip_and_matches_agree_with_reference(r, w):
+    assert parse_regex(serialize_regex(r)) == r
+    assert matches(r, w) == language_member(r, w)
+
+
+def test_deep_regexes_match_without_recursion():
+    # Each nests thousands of nodes deep, past the recursion limit.
+    word = parse_regex("a" * 5000)
+    assert matches(word, "a" * 5000)
+    assert not matches(word, "a")
+    assert repr(word).startswith("Concat(left=Concat(left=")
+    assert matches(parse_regex("(a+b)*" * 2000), "ab")
+    assert matches(parse_regex("a" + "*" * 2000), "aaa")
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(parse_regex("(a+@)*#b")) == (
+        "Concat(left=Concat(left=Star(inner=Union(left=Symbol(char='a'), "
+        "right=EmptyWord())), right=EmptySet()), right=Symbol(char='b'))")
 
 
 def test_regex_nodes_are_hashable_values():
@@ -178,6 +212,10 @@ def test_long_concatenation_hash_and_equality():
 
 
 def test_pickled_regex_keeps_value_and_hash():
-    r = parse_regex("(a+b)*c@#")
+    r = parse_regex("(a+b)*c@+#")
+    words = ["", "c", "abc", "ba"]
+    # The first call builds the matcher on r, so the pickle carries it.
+    assert [matches(r, w) for w in words] == [False, True, True, False]
     s = pickle.loads(pickle.dumps(r))
     assert s == r and hash(s) == hash(r)
+    assert [matches(s, w) for w in words] == [False, True, True, False]
