@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitsets import bits, set_of
+from .bitsets import set_of
 from .cyclerank import _optimal_trees
-from .digraph import (Digraph, _vertex_mask, nontrivial_sccs_within,
-                      scc_mask_partition, strong_articulation_mask)
+from .digraph import (Digraph, _vertex_mask, cut_masks, nontrivial_sccs_within,
+                      scc_mask_partition)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
@@ -55,20 +55,17 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
     W is expected to induce a strongly connected subgraph with an edge;
     the result is well defined regardless.
 
-    Only the strong articulation points (SAPs) are scored by a partition.
-    Let C be a largest remaining component, of L vertices, and M the size
-    of the largest other one (the same M for every largest C).  Deleting
-    a vertex v of C touches no other component, so v scores M or the
-    largest SCC of C - v, whichever is larger.  A v that is not a SAP
-    leaves C - v strongly connected, so it scores max(L - 1, M).  A SAP
-    splits C - v into at least two parts of L - 1 vertices in all, so it
-    scores at most max(L - 2, M): never worse than a non-SAP.  All
-    non-SAPs of the largest components tie, so the least score, ties to
-    the smallest id, is the best-scoring SAP or the smallest-id non-SAP,
-    as if every candidate were partitioned.  SAPs come from dominators
-    (Italiano, Laura, Santaroni, "Finding strong bridges and strong
-    articulation points in linear time", TCS 2012), held as one
-    dominator-set mask per vertex; see digraph.strong_articulation_mask.
+    Every candidate is scored exactly, but few by a partition.  Let C be
+    a largest remaining component, of L vertices, with least vertex r,
+    and M the size of the largest other one (the same for every largest
+    C).  Deleting v from C touches no other component, so v scores the
+    larger of M and the largest SCC of C - v.  The vertices of C - v
+    outside r's component are v's proper subtrees K in the dominator
+    trees of C from r (digraph.cut_masks; all of C - r when v = r).  r's
+    component has the other L - 1 - |K| vertices, and every other SCC of
+    C - v is an SCC of the subgraph on K: a path between two vertices of
+    K through r's component would put both in it.  So K is partitioned
+    only when it is the larger part.
     """
     w = frozenset(w)
     w_mask = _vertex_mask(g, w)
@@ -93,14 +90,11 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
         for c in comps:
             if c.bit_count() != largest:
                 continue
-            saps = strong_articulation_mask(succ, pred, c)
-            non_saps = c & ~saps
-            if non_saps:
-                scored.append((max(largest - 1, other),
-                               (non_saps & -non_saps).bit_length() - 1))
-            for v in bits(saps):
-                after = max(x.bit_count()
-                            for x in scc_mask_partition(succ, pred, c & ~(1 << v)))
+            for v, cut in cut_masks(succ, pred, c).items():
+                after = largest - 1 - cut.bit_count()
+                if cut.bit_count() > after:
+                    after = max(after, *map(int.bit_count,
+                                            scc_mask_partition(succ, pred, cut)))
                 scored.append((max(after, other), v))
         best_v = min(scored)[1]
         chosen |= 1 << best_v

@@ -125,15 +125,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _load_digraph(path: str) -> Digraph:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = parse_digraph(_read(path))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return g
-
-
 def _metric(fmt: str, key: str, value) -> str:
     return f"{key}={value}" if fmt == "kv" else f"{key} {value}"
 
@@ -143,7 +134,7 @@ def _cmd_crank(args) -> int:
         raise InputError("--memo-limit applies to 'crank exact' only")
     if args.base_threshold is not None and args.mode != "approx":
         raise InputError("--base-threshold applies to 'crank approx' only")
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     if args.mode == "brute":
         print(_metric(args.format, "crank", crank_bruteforce(g)))
         return 0
@@ -162,7 +153,7 @@ def _cmd_crank(args) -> int:
 
 
 def _cmd_forest(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     forest = parse_forest(_read(args.forest))
     violations = validate_forest(g, forest)
     if not violations:
@@ -175,7 +166,7 @@ def _cmd_forest(args) -> int:
 
 
 def _cmd_dpw(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     value, bags = dpw_exact(g)
     print(_metric(args.format, "dpw", value))
     if not bags:
@@ -187,13 +178,13 @@ def _cmd_dpw(args) -> int:
 
 
 def _cmd_snum(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     print(_metric(args.format, "snum", snum_exact(g)))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     rep = check_bounds(g)
     chain = "ok" if rep.chain_ok else "violated"
     bound = "-" if rep.rk_bound is None else rep.rk_bound
@@ -209,7 +200,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dfvs(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     if args.mode == "min":
         if args.cap is not None:
             raise InputError("--cap applies to 'dfvs enumerate' only")
@@ -228,7 +219,7 @@ def _cmd_dfvs(args) -> int:
 
 
 def _cmd_count_sc(args) -> int:
-    g = _load_digraph(args.graph)
+    g = parse_digraph(_read(args.graph))
     census = count_sc_subsets(g)
     print(_metric(args.format, "nontrivial", census.nontrivial))
     print(_metric(args.format, "total", census.total))
@@ -248,7 +239,7 @@ def _cmd_sh(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.reduction == "walk":
-        g = _load_digraph(args.graph)
+        g = parse_digraph(_read(args.graph))
         print(serialize_automaton(walk_language_automaton(g, args.vertex)), end="")
         return 0
     a = parse_automaton(_read(args.automaton), as_dfa_flag=True)
@@ -318,14 +309,21 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except DigrankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, InputError):
-            return 1
-        return 3 if isinstance(e, CapacityError) else 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = parser.parse_args(argv)
+            return _HANDLERS[args.command](args)
+        except DigrankError as e:
+            error = e
+        finally:
+            # Every warning reaches stderr, ahead of any error line.
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    if isinstance(error, InputError):
+        return 1
+    return 3 if isinstance(error, CapacityError) else 2
 
 
 if __name__ == "__main__":

@@ -152,35 +152,38 @@ def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
         rem ^= comp
 
 
-def strong_articulation_mask(succ_masks, pred_masks, comp: int) -> int:
-    """Mask of the strong articulation points of the strongly connected
-    subgraph on the mask ``comp``: the vertices v for which comp - v is
-    not strongly connected.
+def cut_masks(succ_masks, pred_masks, comp: int) -> dict[int, int]:
+    """For each vertex v of the strongly connected subgraph on the mask
+    ``comp``, with r its least vertex: the mask of the vertices of comp - v
+    outside r's component in comp - v (all of comp - r when v = r).
 
-    With r the least vertex of comp, a vertex v != r is one exactly when it
-    is a nontrivial dominator from r, in G[comp] or in its reverse: v
-    dominates some w != v from r there (Italiano, Laura, Santaroni,
-    "Finding strong bridges and strong articulation points in linear
-    time", TCS 2012).  The dominators come from one dominator-set mask
-    per vertex; see _nontrivial_dominators.  r itself is one when comp - r
-    splits, which two reach_mask sweeps from another vertex decide.
+    r reaches w in comp - v unless v dominates w from r, and w reaches r
+    unless v dominates w from r in the reverse graph.  So the mask is v's
+    proper subtrees in the forward and reverse dominator trees from r
+    (Italiano, Laura, Santaroni, "Finding strong bridges and strong
+    articulation points in linear time", TCS 2012).  The immediate
+    dominator of w is the vertex whose dominator set is w's minus w; it
+    lies on a shortest path from r, so reversed breadth-first order meets
+    every child before its parent.
     """
     r = (comp & -comp).bit_length() - 1
-    saps = (_nontrivial_dominators(succ_masks, pred_masks, comp, r)
-            | _nontrivial_dominators(pred_masks, succ_masks, comp, r))
-    rest = comp ^ (1 << r)
-    if rest:
-        u = (rest & -rest).bit_length() - 1
-        if (reach_mask(succ_masks, rest, u) != rest
-                or reach_mask(pred_masks, rest, u) != rest):
-            saps |= 1 << r
-    return saps
+    cut = dict.fromkeys(bits(comp), 0)
+    for forward, backward in ((succ_masks, pred_masks), (pred_masks, succ_masks)):
+        dom = _dominator_sets(forward, backward, comp, r)
+        owner = {d: v for v, d in dom.items()}
+        below = dict.fromkeys(dom, 0)
+        for w in reversed(dom):
+            if w != r:
+                below[owner[dom[w] ^ (1 << w)]] |= below[w] | (1 << w)
+        for v in cut:
+            cut[v] |= below[v]
+    return cut
 
 
-def _nontrivial_dominators(succ_masks, pred_masks, comp: int, r: int) -> int:
-    """Mask of the vertices other than r that dominate some other vertex
-    of the flowgraph on ``comp`` rooted at r, following succ_masks (every
-    vertex of comp must be reachable from r).
+def _dominator_sets(succ_masks, pred_masks, comp: int, r: int) -> dict[int, int]:
+    """Each vertex's dominator-set mask in the flowgraph on ``comp`` rooted
+    at r, following succ_masks (every vertex of comp must be reachable
+    from r), keyed in breadth-first order from r.
 
     v's dominators, the vertices on every path from r to v, are the
     greatest solution of dom[r] = {r}, dom[v] = {v} | (the meet of dom[p]
@@ -200,8 +203,9 @@ def _nontrivial_dominators(succ_masks, pred_masks, comp: int, r: int) -> int:
             order.append((v, list(bits(pred_masks[v] & comp))))
             nxt |= succ_masks[v]
         frontier = nxt & comp & ~seen
-    dom = [comp] * len(succ_masks)
-    dom[r] = 1 << r
+    dom = {r: 1 << r}
+    for v, _ in order:
+        dom[v] = comp
     changed = True
     while changed:
         changed = False
@@ -213,10 +217,7 @@ def _nontrivial_dominators(succ_masks, pred_masks, comp: int, r: int) -> int:
             if d != dom[v]:
                 dom[v] = d
                 changed = True
-    doms = 0
-    for v, _ in order:
-        doms |= dom[v] ^ (1 << v)
-    return doms & ~(1 << r)
+    return dom
 
 
 def _vertex_mask(g: Digraph, vertices: Iterable[int]) -> int:

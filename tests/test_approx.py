@@ -18,7 +18,8 @@ from digrank import (
 )
 from digrank.approx import EXACT_BASE_LIMIT, _base_tree, _resolve_threshold
 from digrank.bitsets import bits, mask_of, set_of
-from digrank.digraph import nontrivial_sccs_within, scc_mask_partition, sccs_within
+from digrank.digraph import (cut_masks, nontrivial_sccs_within, scc_mask_partition,
+                             sccs_within)
 from digrank.elimination import height, serialize_forest
 from digrank.generate import random_digraph, random_strongly_connected
 
@@ -112,6 +113,23 @@ def test_separator_matches_reference_greedy():
             if w:
                 assert find_balanced_separator(g, w) == reference_greedy_separator(g, w), \
                     (g.edges, sorted(w))
+    # Sparse strongly connected graphs have deeper dominator trees, so
+    # both sides of the half-size rule occur: some cuts hold more than
+    # half of C - v and are partitioned, others are skipped.
+    partitioned = skipped = 0
+    for _ in range(60):
+        n = rng.randint(16, 40)
+        g = random_strongly_connected(rng, n, max_outdeg=rng.choice([2, 3]))
+        cuts = cut_masks(g.succ_masks, g.pred_masks, (1 << n) - 1)
+        del cuts[0]  # the root's cut is all the rest, always partitioned
+        for cut in cuts.values():
+            if 2 * cut.bit_count() > n - 1:
+                partitioned += 1
+            elif cut:
+                skipped += 1
+        w = frozenset(g.vertices)
+        assert find_balanced_separator(g, w) == reference_greedy_separator(g, w), g.edges
+    assert partitioned and skipped
 
 
 def test_separator_input_errors():
@@ -167,6 +185,8 @@ def test_approx_is_deterministic():
      "b5ab09e9219a47e05fd7ad4a39f0ad59353139789233d311c18164df581dae7e"),
     (150, "eefa4b1e96e3aa93a38831c9b014205121361d6311fd534d85a6dbe131946849",
      "15ff8dea575e8809f1b41788b8e7909a64d74c52e2a8232b4b6929e593240fdc"),
+    (400, "457f7ffd6dbf71e30ccda2b05dddd1769f4f54f86122125f41c73e7fff92b4a6",
+     "747dc2dff6657a9fc34455f6d79a56ddda415a26b6e46992279bc5b6b23b30fd"),
 ])
 def test_approx_forest_bytes_are_pinned(n, digest, log_digest):
     # Pins the canonical forest (pivots, child and root order), which

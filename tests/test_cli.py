@@ -1,11 +1,17 @@
 """Command line behavior: outputs pinned byte-for-byte, exit codes, and
 the stdout/stderr split."""
 
+import io
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import serialize_digraph, serialize_forest
 from digrank.cli import main
@@ -265,6 +271,14 @@ def test_binarize_pipeline(graph, capsys, tmp_path):
     assert out.splitlines()[0] == "sh 1"
 
 
+def test_empty_language_warns_before_the_error(graph, capsys):
+    text = "states 4\nalphabet b a x\ninitial 1\nfinals 3\n"
+    code, out, err = run(capsys, ["sh", "bidet", graph("e.aut", text)])
+    assert (code, out) == (2, "")
+    assert err == ("warning: empty language: trim kept only the initial state\n"
+                   "error: trimmed automaton is not bideterministic\n")
+
+
 def test_binarize_rejects_nondeterministic_file(graph, capsys):
     text = "states 2\nalphabet a\ninitial 0\nfinals 1\n0 a 1\n0 a 0\n"
     code, _, err = run(capsys, ["reduce", "binarize", graph("n.aut", text)])
@@ -371,3 +385,83 @@ def test_closed_stdout_exits_without_traceback(graph, n, mode):
     proc.stderr.close()
     assert 0 <= proc.wait() <= 3
     assert "Traceback" not in err and "Error" not in err, err
+
+
+# Fuzzed input files: mostly well formed, with bad headers, stray tokens
+# and odd indentation mixed into some of them.
+STRAY = st.lists(st.sampled_from(
+    ["0", "1", "7", "-1", "x", "a", "eps", "{", "}", "{0,1}", "{}", ",", "#",
+     "digraph", "states", "finals"]), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def fuzzed_text(draw, headers, body):
+    lines = [draw(st.sampled_from(headers)), *draw(st.lists(body, max_size=10))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(STRAY))
+    indents = st.sampled_from(["", " ", "  ", "\t"] if draw(st.booleans()) else [""])
+    return "".join(draw(indents) + line + "\n" for line in lines)
+
+
+@st.composite
+def digraph_texts(draw):
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(0, max(n - 1, 0))
+    headers = [f"digraph {n}"] * 4 + ["digraph", "digraph x", "graph 3", "digraph -1"]
+    edge = st.tuples(vertex, vertex).map(lambda e: f"{e[0]} {e[1]}")
+    return draw(fuzzed_text(headers, edge))
+
+
+@st.composite
+def forest_texts(draw):
+    vertex = st.integers(0, 5)
+    node = st.tuples(st.integers(0, 3), vertex, st.sets(vertex, max_size=5)).map(
+        lambda t: "  " * t[0] + f"{t[1]} {{{','.join(map(str, sorted(t[2])))}}}")
+    return draw(fuzzed_text([""], node))
+
+
+@st.composite
+def automaton_texts(draw):
+    k = draw(st.integers(1, 6))
+    state = st.integers(0, k - 1)
+    alphabet = draw(st.lists(st.sampled_from("abx"), min_size=1, max_size=3, unique=True))
+    finals = " ".join(map(str, draw(st.lists(state, max_size=3))))
+    header = (f"states {k}\nalphabet {' '.join(alphabet)}\n"
+              f"initial {draw(state)}\nfinals {finals}")
+    headers = [header] * 4 + [f"states {k}\ninitial 0", "states x", "alphabet a"]
+    move = st.tuples(state, st.sampled_from([*alphabet] * 3 + ["eps"]), state).map(
+        lambda t: f"{t[0]} {t[1]} {t[2]}")
+    return draw(fuzzed_text(headers, move))
+
+
+COMMANDS = st.sampled_from([
+    ["crank", "exact", "G"], ["crank", "brute", "G"], ["crank", "approx", "G"],
+    ["forest", "validate", "G", "F"], ["dpw", "G"], ["snum", "G"],
+    ["bounds", "G"], ["dfvs", "min", "G"], ["dfvs", "enumerate", "G"],
+    ["count-sc", "G"], ["sh", "bidet", "A"], ["reduce", "walk", "G", "V"],
+    ["reduce", "binarize", "A"],
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(COMMANDS, digraph_texts(), forest_texts(), automaton_texts(),
+       st.sampled_from(["0", "1", "5", "-1", "x"]), st.booleans())
+def test_cli_contract_on_fuzzed_files(command, g_text, f_text, a_text, vertex, kv):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"V": vertex}
+        for key, text in [("G", g_text), ("F", f_text), ("A", a_text)]:
+            files[key] = os.path.join(tmp, key)
+            with open(files[key], "w") as fh:
+                fh.write(text)
+        argv = [files.get(arg, arg) for arg in command]
+        argv[1:1] = ["--format", "kv"] if kv and argv[0] != "reduce" else []
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    # A warning that escapes main would reach stderr raw, without a prefix.
+    assert not escaped, (argv, [str(w.message) for w in escaped])
+    for line in err.getvalue().splitlines():
+        assert line.startswith(("warning:", "error:")), (argv, line)

@@ -16,16 +16,16 @@ from digrank import (
     parse_digraph,
     serialize_digraph,
 )
-from digrank.bitsets import mask_of
+from digrank.bitsets import bits, mask_of
 from digrank.digraph import (
-    _nontrivial_dominators,
+    _dominator_sets,
+    cut_masks,
     format_vertex_set,
     nontrivial_sccs_within,
     parse_vertex_set,
     reach_mask,
     scc_mask_partition,
     sccs_within,
-    strong_articulation_mask,
 )
 from digrank.generate import random_strongly_connected
 
@@ -138,17 +138,20 @@ def test_sccs_within_canonical_order_spec(case):
     assert sorted(masks) == sorted(mask_of(c) for c in comps)
 
 
-def brute_force_saps(g, comp):
-    """Vertices v of comp whose deletion splits comp into several SCCs."""
-    split = 0
+def brute_force_cuts(g, comp):
+    """v -> the vertices of comp - v that are not both reached from and
+    reaching comp's least vertex r inside comp - v; all of comp - r for r."""
+    r = (comp & -comp).bit_length() - 1
+    cuts = {}
     for v in range(g.n):
-        if comp >> v & 1 and len(list(scc_mask_partition(
-                g.succ_masks, g.pred_masks, comp & ~(1 << v)))) > 1:
-            split |= 1 << v
-    return split
+        if comp >> v & 1:
+            rest = comp & ~(1 << v)
+            cuts[v] = rest if v == r else rest & ~(reach_mask(g.succ_masks, rest, r)
+                                                   & reach_mask(g.pred_masks, rest, r))
+    return cuts
 
 
-def test_strong_articulation_points_match_brute_force():
+def test_cut_masks_match_brute_force():
     rng = random.Random(113)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -160,13 +163,14 @@ def test_strong_articulation_points_match_brute_force():
         # top vertex, which have edges to and from outside the mask
         comps = [full, *scc_mask_partition(g.succ_masks, g.pred_masks, full >> 1)]
         for comp in comps:
-            assert (strong_articulation_mask(g.succ_masks, g.pred_masks, comp)
-                    == brute_force_saps(g, comp)), (g.edges, comp)
+            assert (cut_masks(g.succ_masks, g.pred_masks, comp)
+                    == brute_force_cuts(g, comp)), (g.edges, comp)
 
 
-def test_nontrivial_dominators_match_definition():
-    # v != r dominates some other vertex from r exactly when deleting v
-    # cuts some vertex of comp off from r; checked in each direction.
+def test_dominator_sets_match_definition():
+    # v dominates w from r exactly when v is r or w, or deleting v cuts w
+    # off from r; checked in each direction, with the keys in
+    # breadth-first order from r.
     rng = random.Random(131)
     for _ in range(120):
         n = rng.randint(1, 60)
@@ -178,30 +182,46 @@ def test_nontrivial_dominators_match_definition():
             r = rng.choice([v for v in range(n) if comp >> v & 1])
             for succ, pred in [(g.succ_masks, g.pred_masks),
                                (g.pred_masks, g.succ_masks)]:
-                cut = 0
-                for v in range(n):
-                    rest = comp & ~(1 << v)
-                    if v != r and comp >> v & 1 and reach_mask(succ, rest, r) != rest:
-                        cut |= 1 << v
-                assert _nontrivial_dominators(succ, pred, comp, r) == cut, (
-                    g.edges, comp, r)
+                reached = {v: reach_mask(succ, comp & ~(1 << v), r)
+                           for v in range(n) if v != r and comp >> v & 1}
+                expected = {}
+                for w in range(n):
+                    if comp >> w & 1:
+                        expected[w] = (1 << r | 1 << w) | mask_of(
+                            v for v, seen in reached.items() if not seen >> w & 1)
+                dom = _dominator_sets(succ, pred, comp, r)
+                assert dom == expected, (g.edges, comp, r)
+                dist, layer, d = {}, 1 << r, 0
+                while layer:
+                    dist.update(dict.fromkeys(bits(layer), d))
+                    layer = mask_of(u for v in bits(layer) for u in bits(succ[v]))
+                    layer &= comp & ~mask_of(dist)
+                    d += 1
+                assert [dist[v] for v in dom] == sorted(dist.values())
 
 
-@pytest.mark.parametrize("g, saps", [
-    (cycle(2), set()),
-    (cycle(5), set(range(5))),
-    (clique(5), set()),
+@pytest.mark.parametrize("g, saps, cuts", [
+    (cycle(2), set(), {0: {1}, 1: set()}),
+    # deleting any v != 0 leaves a path, and 0 alone is a component
+    (cycle(5), set(range(5)), {v: set(range(1, 5)) - {v} for v in range(5)}),
+    (clique(5), set(), {0: set(range(1, 5)), **{v: set() for v in range(1, 5)}}),
     # two 2-cycles through the root 0
-    (Digraph.from_edges(3, [(0, 1), (1, 0), (0, 2), (2, 0)]), {0}),
-    # two 3-cycles through 0: deleting 1 also cuts off 2, and so on
+    (Digraph.from_edges(3, [(0, 1), (1, 0), (0, 2), (2, 0)]), {0},
+     {0: {1, 2}, 1: set(), 2: set()}),
+    # two 3-cycles through 0: deleting 1 cuts off 2, and so on
     (Digraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
-     set(range(5))),
-    (loop_vertex(), set()),
+     set(range(5)), {0: {1, 2, 3, 4}, 1: {2}, 2: {1}, 3: {4}, 4: {3}}),
+    (loop_vertex(), set(), {0: set()}),
 ], ids=["2-cycle", "cycle", "clique", "two-2-cycles-at-root",
         "two-3-cycles-at-root", "loop"])
-def test_strong_articulation_points_pinned(g, saps):
+def test_strong_articulation_points_pinned(g, saps, cuts):
+    # A vertex v != 0 splits the graph exactly when its cut mask is
+    # nonempty; the root 0 splits it when the rest is not one component.
     full = (1 << g.n) - 1
-    assert strong_articulation_mask(g.succ_masks, g.pred_masks, full) == mask_of(saps)
+    cut = cut_masks(g.succ_masks, g.pred_masks, full)
+    assert cut == {v: mask_of(c) for v, c in cuts.items()}
+    rest = list(scc_mask_partition(g.succ_masks, g.pred_masks, cut[0]))
+    assert {v for v, c in cut.items() if c and v} | ({0} if len(rest) > 1 else set()) == saps
 
 
 def test_induced_subgraph_relabels_canonically():
