@@ -409,14 +409,14 @@ def parse_automaton(text: str, as_dfa_flag: bool = False) -> Nfa:
         return lineno, parts[1:]
 
     lineno, parts = header(0, "states")
-    if len(parts) != 1 or not parts[0].isdigit():
+    if len(parts) != 1 or not parts[0].isdecimal():
         raise ParseError("states line needs one nonnegative count", line=lineno)
     states = int(parts[0])
 
     _, alphabet = header(1, "alphabet")
 
     lineno, parts = header(2, "initial")
-    if len(parts) != 1 or not parts[0].isdigit():
+    if len(parts) != 1 or not parts[0].isdecimal():
         raise ParseError("initial line needs one state index", line=lineno)
     initial = int(parts[0])
 
@@ -431,7 +431,7 @@ def parse_automaton(text: str, as_dfa_flag: bool = False) -> Nfa:
         if len(parts) != 3:
             raise ParseError(f"expected 'p symbol q', got {' '.join(parts)!r}", line=lineno)
         ps, sym, qs = parts
-        if not (ps.isdigit() and qs.isdigit()):
+        if not (ps.isdecimal() and qs.isdecimal()):
             raise ParseError("transition endpoints must be state indices", line=lineno)
         if sym == "eps":
             if as_dfa_flag:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
-from .digraph import Digraph, _vertex_mask, acyclic_mask, scc_mask_partition
+from .digraph import Digraph, _vertex_mask, acyclic_mask
 from .errors import CapacityError, ResourceLimitError
 
 DFVS_VERTEX_LIMIT = 64
@@ -25,72 +25,129 @@ def is_dfvs(g: Digraph, s) -> bool:
     return acyclic_mask(g.succ_masks, keep)
 
 
-def _find_cycle(g: Digraph, sub: int) -> list[int] | None:
-    """Some cycle inside the induced subgraph on the mask, or None.
-
-    Deterministic: the cycle is a shortest one through the smallest vertex
-    of the first nontrivial SCC found.
-    """
-    succ = g.succ_masks
-    pred = g.pred_masks
-    loops = g.loop_mask
-    for comp in scc_mask_partition(succ, pred, sub):
-        if comp.bit_count() > 1 or comp & loops:
-            v = (comp & -comp).bit_length() - 1
-            if loops & (1 << v):
-                return [v]
-            # BFS inside comp from v back to v
-            parent = {v: None}
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in bits(succ[u] & comp):
-                        if w == v:
-                            cycle = [u]
-                            while parent[cycle[-1]] is not None:
-                                cycle.append(parent[cycle[-1]])
-                            cycle.reverse()
-                            return cycle
-                        if w not in parent:
-                            parent[w] = u
-                            nxt.append(w)
-                frontier = nxt
-            raise AssertionError("unreachable: nontrivial SCC has a cycle through each vertex")
-    return None
+def _peel(succ, pred, core: int, check: int) -> int:
+    """The core of the mask ``core``: what is left after repeatedly dropping
+    a vertex with no successor or no predecessor inside it.  No cycle loses a
+    vertex.  Only vertices of ``check`` and neighbours of dropped vertices are
+    tested, so ``check`` must hold every vertex that may already qualify."""
+    check &= core
+    while check:
+        low = check & -check
+        check ^= low
+        v = low.bit_length() - 1
+        if not (succ[v] & core and pred[v] & core):
+            core ^= low
+            check |= (succ[v] | pred[v]) & core
+    return core
 
 
-def _feedback_masks(g: Digraph, k: int) -> Iterator[int]:
-    """Masks X with G - X acyclic, found by branching on at most k vertices;
-    each is yielded once, when first found.
-
-    Branch on the vertices of a cycle of the residual graph, excluding one
-    per branch and forbidding the ones tried before it; a residual with a
-    cycle branches only while fewer than k vertices are excluded.  Taking on
-    each cycle its first vertex of a minimal feedback set X never forbids a
-    vertex of X, so X is reached in exactly |X| steps.
-    """
+def _root_core(g: Digraph) -> int:
+    """The core of the whole graph, the search's starting residual."""
     if g.n > DFVS_VERTEX_LIMIT:
         raise CapacityError(
             f"feedback vertex sets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
     full = (1 << g.n) - 1
-    found: set[int] = set()
-    stack: list[tuple[int, int]] = [(0, 0)]  # (excluded X, forbidden P)
+    return _peel(g.succ_masks, g.pred_masks, full, full)
+
+
+def _shortest_cycle(succ, pred, sub: int, v: int) -> list[int] | None:
+    """A shortest cycle through v inside the mask ``sub``, starting at v,
+    found by breadth-first layers; None when v lies on no cycle there."""
+    vbit = 1 << v
+    layers = [vbit]
+    seen = frontier = vbit
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= succ[low.bit_length() - 1]
+            m ^= low
+        if nxt & vbit:
+            u = frontier & pred[v]
+            cycle = [(u & -u).bit_length() - 1]
+            for layer in reversed(layers[:-1]):
+                u = layer & pred[cycle[-1]]
+                cycle.append((u & -u).bit_length() - 1)
+            cycle.reverse()
+            return cycle
+        frontier = nxt & sub & ~seen
+        seen |= frontier
+        layers.append(frontier)
+    return None
+
+
+def _cycle_packing(g: Digraph, core: int) -> list[list[int]]:
+    """Vertex-disjoint cycles inside the core mask, picked greedily: a loop
+    vertex if there is one, else a shortest cycle through a vertex of least
+    outdegree (a vertex on no cycle is dropped); after each pick the core is
+    peeled again.  Empty exactly when the core is, i.e. the mask is acyclic.
+    """
+    succ = g.succ_masks
+    pred = g.pred_masks
+    loops = g.loop_mask
+    cycles = []
+    while core:
+        if core & loops:
+            cycle = [(core & loops & -(core & loops)).bit_length() - 1]
+        else:
+            # least outdegree in the core, and 1 is least without loops
+            v, least = 0, g.n
+            m = core
+            while m and least > 1:
+                low = m & -m
+                d = (succ[low.bit_length() - 1] & core).bit_count()
+                if d < least:
+                    v, least = low.bit_length() - 1, d
+                m ^= low
+            cycle = _shortest_cycle(succ, pred, core, v)
+            if cycle is None:
+                core = _peel(succ, pred, core ^ (1 << v), succ[v] | pred[v])
+                continue
+        cycles.append(cycle)
+        touched = 0
+        for c in cycle:
+            core ^= 1 << c
+            touched |= succ[c] | pred[c]
+        core = _peel(succ, pred, core, touched)
+    return cycles
+
+
+def _feedback_masks(g: Digraph, k: int) -> Iterator[int]:
+    """Masks X with G - X acyclic, found by branching on at most k vertices;
+    each is yielded once, since sibling branches differ on a cycle vertex
+    that one excludes and the later ones forbid.
+
+    Each search node keeps the core of its residual G - X (see _peel): the
+    core of G - X - v is that of (core of G - X) - v, so a child peels only
+    what its one deletion exposes.  A greedy packing of c disjoint cycles in
+    the core bounds the search: a feedback set Y of G containing X hits
+    each of the c cycles at its own vertex of Y - X, so |Y| >= |X| + c, and
+    a node with |X| + c > k lies on no path to a set of at most k vertices.
+    Otherwise branch on the vertices of the packing's first cycle, excluding
+    one per branch and forbidding the ones tried before it.  For a minimal
+    feedback set Y of at most k vertices, taking on each cycle its first
+    vertex of Y, whichever cycle is chosen, never forbids a vertex of Y, and
+    no node on that path is cut, as Y contains its X; so Y is reached in
+    exactly |Y| steps.
+    """
+    succ = g.succ_masks
+    pred = g.pred_masks
+    stack = [(0, 0, _root_core(g))]  # (excluded X, forbidden P, core of G - X)
     while stack:
-        excluded, forbidden = stack.pop()
-        cycle = _find_cycle(g, full & ~excluded)
-        if cycle is None:
-            if excluded not in found:
-                found.add(excluded)
-                yield excluded
+        excluded, forbidden, core = stack.pop()
+        cycles = _cycle_packing(g, core)
+        if not cycles:
+            yield excluded
             continue
-        if excluded.bit_count() >= k:
+        if excluded.bit_count() + len(cycles) > k:
             continue
         banned = forbidden
-        for c in cycle:
+        for c in cycles[0]:
             cbit = 1 << c
             if not banned & cbit:
-                stack.append((excluded | cbit, banned))
+                stack.append((excluded | cbit, banned,
+                              _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
             banned |= cbit
 
 
@@ -129,12 +186,13 @@ class DfvsResult:
 def min_dfvs(g: Digraph) -> DfvsResult:
     """A minimum DFVS; ties by the lexicographically least vertex tuple.
 
-    Iterative deepening on k.  _feedback_masks(g, k) finds only feedback
-    sets of at most k vertices, and every minimal one that small.  At the
-    least k that finds one, no smaller set exists, so each set found is a
-    minimum set; every minimum set is minimal, so all of them are found.
+    Iterative deepening on k, from the size of the cycle packing of G, a
+    lower bound.  _feedback_masks(g, k) finds only feedback sets of at most
+    k vertices, and every minimal one that small.  At the least k that
+    finds one, no smaller set exists, so each set found is a minimum set;
+    every minimum set is minimal, so all of them are found.
     """
-    k = 0
+    k = len(_cycle_packing(g, _root_core(g)))
     while not (found := list(_feedback_masks(g, k))):
         k += 1
     best = min((set_of(x) for x in found), key=sorted)

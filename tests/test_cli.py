@@ -279,6 +279,15 @@ def test_empty_language_warns_before_the_error(graph, capsys):
                    "error: trimmed automaton is not bideterministic\n")
 
 
+def test_superscript_digit_count_is_an_input_error(graph, capsys):
+    # str.isdigit accepts "²", which int() then rejects with a ValueError.
+    text = "states ²\nalphabet a\ninitial 0\nfinals 0\n"
+    code, out, err = run(capsys, ["sh", "bidet", graph("s.aut", text)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_binarize_rejects_nondeterministic_file(graph, capsys):
     text = "states 2\nalphabet a\ninitial 0\nfinals 1\n0 a 1\n0 a 0\n"
     code, _, err = run(capsys, ["reduce", "binarize", graph("n.aut", text)])
@@ -391,7 +400,7 @@ def test_closed_stdout_exits_without_traceback(graph, n, mode):
 # and odd indentation mixed into some of them.
 STRAY = st.lists(st.sampled_from(
     ["0", "1", "7", "-1", "x", "a", "eps", "{", "}", "{0,1}", "{}", ",", "#",
-     "digraph", "states", "finals"]), min_size=1, max_size=4).map(" ".join)
+     "digraph", "states", "finals", "²"]), min_size=1, max_size=4).map(" ".join)
 
 
 @st.composite

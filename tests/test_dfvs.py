@@ -5,6 +5,7 @@ ones; maximality and minimality are then set comparisons.  Everything the
 module computes is cross-checked against that at small n.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -21,6 +22,8 @@ from digrank import (
     min_dfvs,
     minimal_dfvs_enumerate,
 )
+from digrank.dfvs import _cycle_packing, _peel, _root_core
+from digrank.digraph import format_vertex_set, nontrivial_sccs_within
 from digrank.generate import random_digraph, random_strongly_connected
 
 from common import chain, clique, cycle, edgeless, loop_vertex
@@ -118,21 +121,86 @@ def test_min_dfvs_pinned():
     assert min_dfvs(loop_vertex()).forced == frozenset({0})
 
 
+def min_dfvs_bruteforce(g):
+    # combinations come by size, then lexicographically: the first
+    # feedback set is the tie-break winner
+    return next(frozenset(c) for r in range(g.n + 1)
+                for c in itertools.combinations(range(g.n), r)
+                if is_dfvs(g, frozenset(c)))
+
+
 def test_min_dfvs_matches_subset_bruteforce():
     rng = random.Random(83)
     for _ in range(80):
         n = rng.randrange(1, 9)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
                            allow_loops=True)
-        # combinations come by size, then lexicographically: the first
-        # feedback set is the tie-break winner
-        best = next(frozenset(c) for r in range(n + 1)
-                    for c in itertools.combinations(range(n), r)
-                    if is_dfvs(g, frozenset(c)))
+        best = min_dfvs_bruteforce(g)
         res = min_dfvs(g)
         assert res.minimum_size == len(best)
         assert res.minimum_set == best
         assert res.forced <= res.minimum_set
+
+
+def test_core_keeps_every_cycle_vertex():
+    rng = random.Random(89)
+    for _ in range(150):
+        n = rng.randrange(1, 10)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5),
+                           allow_loops=True)
+        succ, pred, full = g.succ_masks, g.pred_masks, (1 << n) - 1
+        core = _root_core(g)
+        on_cycle = frozenset().union(*nontrivial_sccs_within(g, range(n)))
+        assert on_cycle <= {v for v in range(n) if core >> v & 1}
+        for v in range(n):
+            if core >> v & 1:
+                assert succ[v] & core and pred[v] & core
+                # What the search relies on: core(R - v) = core(core(R) - v),
+                # peeling only v's neighbours.
+                vbit = 1 << v
+                assert (_peel(succ, pred, core ^ vbit, succ[v] | pred[v])
+                        == _peel(succ, pred, full ^ vbit, full ^ vbit))
+
+
+def test_cycle_packing_is_a_lower_bound():
+    rng = random.Random(97)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
+                           allow_loops=True)
+        cycles = _cycle_packing(g, _root_core(g))
+        assert len(cycles) <= len(min_dfvs_bruteforce(g))
+        assert (not cycles) == is_dfvs(g, frozenset())
+        used = [v for c in cycles for v in c]
+        assert len(used) == len(set(used))  # vertex-disjoint simple cycles
+        for c in cycles:
+            assert all(g.has_edge(u, w) for u, w in zip(c, c[1:] + c[:1]))
+
+
+def test_min_dfvs_digest_is_pinned():
+    # Computed before the cycle-packing bound replaced the plain cycle
+    # search; the sets cannot depend on which cycle the search branches on.
+    h = hashlib.sha256()
+    for s in range(40):
+        res = min_dfvs(random_strongly_connected(random.Random(s), 14 + s % 8,
+                                                 max_outdeg=3))
+        h.update(f"{res.minimum_size} {format_vertex_set(res.minimum_set)}\n".encode())
+    assert h.hexdigest() == (
+        "3d311a649ab48f0dfd7cf3b6d1959bbb544e44150038212cbdc8d53db4e589ce")
+
+
+def test_minimal_dfvs_digest_is_pinned():
+    rng = random.Random(2027)
+    h = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5),
+                           allow_loops=True)
+        for s in minimal_dfvs_enumerate(g):
+            h.update(format_vertex_set(s).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == (
+        "5e9587d63980de04239613d1d36e7896eb48c4a60c8c034b60009ad756a539f7")
 
 
 @pytest.mark.parametrize("n,size,best", [
@@ -140,10 +208,13 @@ def test_min_dfvs_matches_subset_bruteforce():
     (20, 6, {0, 1, 8, 12, 15, 16}),
     (22, 6, {1, 2, 5, 8, 11, 13}),
     (24, 7, {0, 1, 5, 7, 16, 19, 23}),
+    (28, 8, {0, 1, 3, 4, 12, 13, 23, 24}),
+    (32, 10, {0, 4, 5, 8, 9, 10, 14, 18, 21, 24}),
 ])
 def test_min_dfvs_pinned_larger(n, size, best):
-    # These graphs have 2, 12, 2 and 15 minimum sets, so the pins also
-    # guard the lexicographic tie-break beyond the brute-force sizes.
+    # The first four graphs have 2, 12, 2 and 15 minimum sets, so the pins
+    # also guard the lexicographic tie-break beyond the brute-force sizes.
+    # n = 32 took 14 s under the plain cycle search and about 1 s now.
     res = min_dfvs(random_strongly_connected(random.Random(n), n, max_outdeg=3))
     assert res.minimum_size == size
     assert res.minimum_set == frozenset(best)
