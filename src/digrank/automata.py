@@ -22,7 +22,7 @@ from .digraph import Digraph, is_strongly_connected, reach_mask
 from .elimination import EliminationForest
 from .errors import DomainError, InputError, ParseError
 from .regex import (Concat, EmptySet, EmptyWord, Regex, Star, Symbol, Union,
-                    symbols_of)
+                    _postorder, symbols_of)
 
 Transition = tuple[int, "str | None", int]  # symbol None means epsilon
 
@@ -192,19 +192,10 @@ def regex_to_nfa(r: Regex, alphabet: Iterable[str] | None = None) -> Nfa:
     """
     transitions: set[Transition] = set()
     states = 0
-    # Post-order on an explicit stack, since concatenation builds a
-    # left-deep tree: a node's (entry, exit) pair goes on ``built`` once
-    # its children's pairs are there, and states are numbered in that order.
+    # A node's (entry, exit) pair goes on ``built`` after its children's,
+    # and states are numbered in that order.
     built: list[tuple[int, int]] = []
-    todo: list[tuple[Regex, bool]] = [(r, False)]
-    while todo:
-        node, ready = todo.pop()
-        if not ready and isinstance(node, (Union, Concat)):
-            todo += [(node, True), (node.right, False), (node.left, False)]
-            continue
-        if not ready and isinstance(node, Star):
-            todo += [(node, True), (node.inner, False)]
-            continue
+    for node in _postorder(r):
         if isinstance(node, Concat):
             rs, re = built.pop()
             ls, le = built.pop()

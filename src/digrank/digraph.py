@@ -158,25 +158,17 @@ def cut_masks(succ_masks, pred_masks, comp: int) -> dict[int, int]:
     outside r's component in comp - v (all of comp - r when v = r).
 
     r reaches w in comp - v unless v dominates w from r, and w reaches r
-    unless v dominates w from r in the reverse graph.  So the mask is v's
-    proper subtrees in the forward and reverse dominator trees from r
-    (Italiano, Laura, Santaroni, "Finding strong bridges and strong
-    articulation points in linear time", TCS 2012).  The immediate
-    dominator of w is the vertex whose dominator set is w's minus w; it
-    lies on a shortest path from r, so reversed breadth-first order meets
-    every child before its parent.
+    unless v dominates w from r in the reverse graph (Italiano, Laura,
+    Santaroni, "Finding strong bridges and strong articulation points in
+    linear time", TCS 2012).  So the mask holds each w whose forward or
+    reverse dominator set has v in it besides w.
     """
     r = (comp & -comp).bit_length() - 1
     cut = dict.fromkeys(bits(comp), 0)
     for forward, backward in ((succ_masks, pred_masks), (pred_masks, succ_masks)):
-        dom = _dominator_sets(forward, backward, comp, r)
-        owner = {d: v for v, d in dom.items()}
-        below = dict.fromkeys(dom, 0)
-        for w in reversed(dom):
-            if w != r:
-                below[owner[dom[w] ^ (1 << w)]] |= below[w] | (1 << w)
-        for v in cut:
-            cut[v] |= below[v]
+        for w, dom in _dominator_sets(forward, backward, comp, r).items():
+            for v in bits(dom ^ 1 << w):
+                cut[v] |= 1 << w
     return cut
 
 

@@ -45,8 +45,10 @@ class EliminationNode:
     scope: frozenset[int]
     children: tuple["EliminationNode", ...] = ()
 
-    # repr and comparison walk an explicit stack and hashing looks at the
-    # root only, so none is bounded by the recursion limit on deep trees.
+    # repr and comparison walk an explicit stack, hashing looks at the root
+    # only and pickling goes through the text format, whose printer and
+    # parser walk explicit stacks; so none is bounded by the recursion
+    # limit on deep trees.
     def __repr__(self):
         # The text the generated dataclass repr would print.
         parts = []
@@ -79,6 +81,14 @@ class EliminationNode:
 
     def __hash__(self):
         return hash((self.pivot, self.scope))
+
+    def __reduce__(self):
+        return _parse_tree, (serialize_forest(EliminationForest((self,))),)
+
+
+def _parse_tree(text: str) -> EliminationNode:
+    [tree] = parse_forest(text).trees
+    return tree
 
 
 @dataclass(frozen=True)

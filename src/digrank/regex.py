@@ -6,26 +6,32 @@ union, juxtaposition concatenation, postfix ``*`` iteration, parentheses
 group.  Star binds tighter than concatenation, concatenation tighter
 than union.  Symbols are single characters outside the reserved set
 ``# @ + * ( )``.
+
+No function here recurses: the parser keeps one frame per open
+parenthesis and every walk over a tree runs on an explicit stack, so
+neither nesting depth nor the length of a word is bounded by Python's
+recursion limit.  Trees pickle and deep-copy through their text.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 from .bitsets import bits
 from .errors import InputError, ParseError
 
 RESERVED = set("#@+*()")
-MAX_PAREN_DEPTH = 100  # parse_regex spends 4 frames per level of nesting
 
 
 class Regex:
     """Base of the AST nodes.
 
-    ``==``, ``hash`` and ``repr`` walk explicit stacks, so none is bounded
-    by the recursion limit on long concatenations (a word nests as deep as
-    it is long).
+    ``==``, ``hash``, ``repr`` and pickling walk explicit stacks, so none is
+    bounded by the recursion limit on long concatenations (a word nests as
+    deep as it is long).
     """
 
     def __hash__(self):
@@ -35,20 +41,14 @@ class Regex:
     def __eq__(self, other):
         if not isinstance(other, Regex):
             return NotImplemented
-        todo = [(self, other)]
-        for a, b in todo:
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is Symbol:
-                if a.char != b.char:
-                    return False
-            elif type(a) is Star:
-                todo.append((a.inner, b.inner))
-            elif type(a) is Union or type(a) is Concat:
-                todo += ((a.left, b.left), (a.right, b.right))
-        return True
+        # Every node type has a fixed number of children, so the post-order
+        # sequence of (type, char) determines the tree.
+        return all(type(a) is type(b) and getattr(a, "char", None) == getattr(b, "char", None)
+                   for a, b in zip_longest(_postorder(self), _postorder(other)))
+
+    def __reduce__(self):
+        # Through the text, which both directions handle without recursion.
+        return parse_regex, (serialize_regex(self),)
 
     def __repr__(self):
         # The text the generated dataclass repr would print.
@@ -77,17 +77,11 @@ class Regex:
         position's mask of positions that can follow it."""
         on: dict[str, int] = {}
         follow: list[int] = []
-        # Post-order on an explicit stack, as in regex_to_nfa: a node's
-        # (nullable, first, last) goes on ``built`` once its children's do.
+        # A node's (nullable, first, last) goes on ``built`` after its
+        # children's.
         built: list[tuple[bool, int, int]] = []
-        todo: list[tuple[Regex, bool]] = [(self, False)]
-        while todo:
-            node, ready = todo.pop()
-            if not ready and isinstance(node, (Union, Concat)):
-                todo += [(node, True), (node.right, False), (node.left, False)]
-            elif not ready and isinstance(node, Star):
-                todo += [(node, True), (node.inner, False)]
-            elif isinstance(node, Symbol):
+        for node in _postorder(self):
+            if isinstance(node, Symbol):
                 p = 1 << len(follow)
                 follow.append(0)
                 on[node.char] = on.get(node.char, 0) | p
@@ -130,6 +124,12 @@ class EmptyWord(Regex):
 class Symbol(Regex):
     char: str
 
+    def __post_init__(self):
+        # A character the syntax can spell, so that the text, and with it
+        # hashing and pickling, stands for this tree alone.
+        if len(self.char) != 1 or self.char in RESERVED or self.char.isspace():
+            raise InputError(f"symbol {self.char!r} is not one unreserved character")
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Union(Regex):
@@ -148,84 +148,59 @@ class Star(Regex):
     inner: Regex
 
 
-def parse_regex(text: str, alphabet: frozenset[str] | None = None) -> Regex:
-    """Parse the concrete syntax; positions in errors are 0-based offsets.
-
-    With ``alphabet`` given, symbols outside it are rejected.
-    """
-    pos = 0
-    depth = 0
-
-    def peek() -> str | None:
-        return text[pos] if pos < len(text) else None
-
-    def error(msg: str) -> ParseError:
-        return ParseError(f"position {pos}: {msg}")
-
-    def parse_union() -> Regex:
-        nonlocal pos
-        node = parse_concat()
-        while peek() == "+":
-            pos += 1
-            node = Union(node, parse_concat())
-        return node
-
-    def parse_concat() -> Regex:
-        nonlocal pos
-        node = parse_starred()
-        while True:
-            c = peek()
-            if c is None or c in ")+":
-                return node
-            node = Concat(node, parse_starred())
-
-    def parse_starred() -> Regex:
-        nonlocal pos
-        node = parse_atom()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def parse_atom() -> Regex:
-        nonlocal pos, depth
-        c = peek()
-        if c is None:
-            raise error("unexpected end of input")
+def parse_regex(text: str) -> Regex:
+    """Parse the concrete syntax; positions in errors are 0-based offsets."""
+    # One frame per open parenthesis, the outermost level at the bottom:
+    # [union of the finished branches, concatenation before the last atom,
+    # last atom], each None while empty.  The last atom stays apart so that
+    # a star can still wrap it.
+    stack: list[list[Regex | None]] = [[None, None, None]]
+    for pos, c in enumerate(text):
+        frame = stack[-1]
+        union, concat, last = frame
+        if last is not None:
+            if c == "*":
+                frame[2] = Star(last)
+                continue
+            if c == "+":
+                frame[:] = _close(union, concat, last), None, None
+                continue
+            if c == ")":
+                if len(stack) == 1:
+                    raise ParseError(f"position {pos}: trailing input {c!r}")
+                stack.pop()
+                stack[-1][2] = _close(union, concat, last)
+                continue
+            # Another atom begins.
+            frame[1:] = _close(None, concat, last), None
         if c == "(":
-            if depth == MAX_PAREN_DEPTH:
-                raise error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
-            pos += 1
-            depth += 1
-            node = parse_union()
-            if peek() != ")":
-                raise error("expected ')'")
-            pos += 1
-            depth -= 1
-            return node
-        if c == "#":
-            pos += 1
-            return EmptySet()
-        if c == "@":
-            pos += 1
-            return EmptyWord()
-        if c in RESERVED or c.isspace():
-            raise error(f"unexpected {c!r}")
-        if alphabet is not None and c not in alphabet:
-            raise error(f"symbol {c!r} not in the declared alphabet")
-        pos += 1
-        return Symbol(c)
+            stack.append([None, None, None])
+        elif c == "#":
+            frame[2] = EmptySet()
+        elif c == "@":
+            frame[2] = EmptyWord()
+        elif c in RESERVED or c.isspace():
+            raise ParseError(f"position {pos}: unexpected {c!r}")
+        else:
+            frame[2] = Symbol(c)
+    union, concat, last = stack[-1]
+    if last is None:
+        raise ParseError(f"position {len(text)}: unexpected end of input")
+    if len(stack) > 1:
+        raise ParseError(f"position {len(text)}: expected ')'")
+    return _close(union, concat, last)
 
-    node = parse_union()
-    if pos != len(text):
-        raise ParseError(f"position {pos}: trailing input {text[pos]!r}")
-    return node
+
+def _close(union: Regex | None, concat: Regex | None, last: Regex) -> Regex:
+    """A parser frame's expression once its last atom ends its branch."""
+    branch = last if concat is None else Concat(concat, last)
+    return branch if union is None else Union(union, branch)
 
 
 def serialize_regex(r: Regex) -> str:
     """Concrete syntax that parses back to an equal AST, minimally
     parenthesized."""
-    # An explicit stack, for the same reason as in star_height below.  It
+    # An explicit stack, for the same reason as in _postorder below.  It
     # holds text still to emit and (node, level) pairs still to expand,
     # where level is 0 in a union context, 1 in a concat, 2 as a star
     # operand; the top is emitted next.
@@ -256,37 +231,41 @@ def serialize_regex(r: Regex) -> str:
     return "".join(out)
 
 
-def symbols_of(r: Regex) -> frozenset[str]:
-    # An explicit stack, for the same reason as in star_height below.
-    out: set[str] = set()
-    todo = [r]
+def _postorder(r: Regex) -> Iterator[Regex]:
+    """r's nodes, children before parent and left before right.
+
+    An explicit stack: concatenation builds a left-deep tree, so a long
+    word nests as deep as it is long."""
+    todo: list[tuple[Regex, bool]] = [(r, False)]
     while todo:
-        node = todo.pop()
-        if isinstance(node, Symbol):
-            out.add(node.char)
+        node, ready = todo.pop()
+        if ready:
+            yield node
         elif isinstance(node, (Union, Concat)):
-            todo += [node.left, node.right]
+            todo += [(node, True), (node.right, False), (node.left, False)]
         elif isinstance(node, Star):
-            todo.append(node.inner)
-    return frozenset(out)
+            todo += [(node, True), (node.inner, False)]
+        else:
+            yield node
+
+
+def symbols_of(r: Regex) -> frozenset[str]:
+    return frozenset(node.char for node in _postorder(r) if isinstance(node, Symbol))
 
 
 def star_height(r: Regex) -> int:
     """Maximum star nesting depth."""
-    # An explicit stack: concatenation builds a left-deep tree, so a long
-    # word nests as deep as it is long.
-    best = 0
-    todo = [(r, 0)]
-    while todo:
-        node, depth = todo.pop()
+    heights: list[int] = []  # one per finished subtree not yet folded
+    for node in _postorder(r):
         if isinstance(node, Star):
-            todo.append((node.inner, depth + 1))
+            heights[-1] += 1
         elif isinstance(node, (Union, Concat)):
-            todo.append((node.left, depth))
-            todo.append((node.right, depth))
-        elif depth > best:
-            best = depth
-    return best
+            right = heights.pop()
+            heights[-1] = max(heights[-1], right)
+        else:
+            heights.append(0)
+    [h] = heights
+    return h
 
 
 def matches(r: Regex, word: str) -> bool:

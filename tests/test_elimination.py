@@ -1,5 +1,8 @@
 """Elimination forests: validation, height, conversion, text format."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +170,16 @@ def test_deep_forest_equality_and_hash():
     assert height(other) == height(forest)
     assert other != forest
     assert forest != other
+
+
+def test_deep_forest_pickles_and_deep_copies():
+    # Deeper than the recursion limit: nodes pickle through the text format.
+    forest = least_pivot_path_forest(1201)
+    for copied in [pickle.loads(pickle.dumps(forest)), copy.deepcopy(forest)]:
+        assert copied == forest
+        assert height(copied) == 1200
+    small = pickle.loads(pickle.dumps(K3_FOREST))
+    assert small == K3_FOREST and repr(small) == repr(K3_FOREST)
 
 
 def test_repr_text():

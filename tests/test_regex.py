@@ -5,6 +5,7 @@ over the AST with all split points tried; slow but an independent path
 from the position-automaton matcher under test.
 """
 
+import copy
 import pickle
 import random
 from functools import lru_cache
@@ -12,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digrank import ParseError, Regex, matches, parse_regex, serialize_regex
+from digrank import InputError, ParseError, Regex, matches, parse_regex, serialize_regex
 from digrank.generate import random_regex, random_words
 from digrank.regex import (
     Concat,
@@ -69,24 +70,39 @@ def test_parse_pinned_shapes():
 
 def test_parse_errors_carry_positions():
     cases = {
-        "": "position 0",
-        "a+": "position 2",
-        "(a": "position 2",
-        ")": "position 0",
-        "*a": "position 0",
-        "a b": "position 1",
+        "": "position 0: unexpected end of input",
+        "a+": "position 2: unexpected end of input",
+        "(a": "position 2: expected ')'",
+        ")": "position 0: unexpected ')'",
+        "*a": "position 0: unexpected '*'",
+        "a b": "position 1: unexpected ' '",
+        "a)": "position 1: trailing input ')'",
+        "()": "position 1: unexpected ')'",
+        "(+a)": "position 1: unexpected '+'",
+        "a(": "position 2: unexpected end of input",
+        "(a))": "position 3: trailing input ')'",
+        "a+*": "position 2: unexpected '*'",
+        "((a)": "position 4: expected ')'",
+        "ab)c": "position 2: trailing input ')'",
     }
-    for text, fragment in cases.items():
+    for text, message in cases.items():
         with pytest.raises(ParseError) as info:
             parse_regex(text)
-        assert fragment in str(info.value)
+        assert str(info.value) == message, text
 
 
-def test_parse_respects_declared_alphabet():
-    assert parse_regex("ab", alphabet=frozenset("ab")) == Concat(A, B)
-    with pytest.raises(ParseError) as info:
-        parse_regex("ab", alphabet=frozenset("a"))
-    assert "'b'" in str(info.value)
+def test_deep_parentheses_parse():
+    # The parser keeps one frame per open parenthesis, not one call.
+    deep = parse_regex("(" * 5000 + "a*b" + ")" * 5000)
+    assert deep == parse_regex("a*b")
+    assert parse_regex("(" * 5000 + "a" + ")*" * 5000) == parse_regex("a" + "*" * 5000)
+
+
+def test_symbol_is_one_character_the_syntax_can_spell():
+    # Otherwise its text would parse, and unpickle, to another tree.
+    for char in ["ab", "", "+", "(", " "]:
+        with pytest.raises(InputError):
+            Symbol(char)
 
 
 def test_serialize_minimal_parentheses():
@@ -214,8 +230,23 @@ def test_long_concatenation_hash_and_equality():
 def test_pickled_regex_keeps_value_and_hash():
     r = parse_regex("(a+b)*c@+#")
     words = ["", "c", "abc", "ba"]
-    # The first call builds the matcher on r, so the pickle carries it.
+    # The first call builds the matcher on r; the copy builds its own.
     assert [matches(r, w) for w in words] == [False, True, True, False]
     s = pickle.loads(pickle.dumps(r))
     assert s == r and hash(s) == hash(r)
     assert [matches(s, w) for w in words] == [False, True, True, False]
+
+
+def test_deep_regexes_pickle_and_deep_copy():
+    # Both go through the text, so neither recurses once per level.
+    for r in [parse_regex("a" * 5000), parse_regex("(" * 5000 + "a*b" + ")" * 5000),
+              parse_regex("(a+b)*" * 2000), parse_regex("a" + "*" * 5000)]:
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert copy.deepcopy(r) == r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(regexes)
+def test_pickle_roundtrip(r):
+    s = pickle.loads(pickle.dumps(r))
+    assert s == r and hash(s) == hash(r) and repr(s) == repr(r)
