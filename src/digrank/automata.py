@@ -4,9 +4,10 @@ two reductions that transfer cycle rank between digraphs and automata
 (the walk-language automaton of a strongly connected digraph, and a
 binary recoding that squeezes any alphabet down to {a, b}).
 
-Symbols are arbitrary whitespace-free tokens, so edge names like
-``(0,1)`` are valid symbols.  A word is a sequence of symbols; a plain
-string works for single-character alphabets.
+Symbols are arbitrary tokens free of whitespace and of ``#``, which
+starts a comment in the text format, so edge names like ``(0,1)`` are
+valid symbols.  A word is a sequence of symbols; a plain string works for
+single-character alphabets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import bits
 from .cyclerank import crank_exact
-from .digraph import Digraph, is_strongly_connected, reach_mask
+from .digraph import Digraph, _content_lines, is_strongly_connected, reach_mask
 from .elimination import EliminationForest
 from .errors import DomainError, InputError, ParseError
 from .regex import (Concat, EmptySet, EmptyWord, Regex, Star, Symbol, Union,
@@ -51,6 +52,8 @@ class Nfa:
         for sym in self.alphabet:
             if not sym or sym != sym.strip() or any(c.isspace() for c in sym):
                 raise InputError(f"bad symbol {sym!r}: must be a whitespace-free token")
+            if "#" in sym:  # the text format would read it as a comment
+                raise InputError(f"bad symbol {sym!r}: '#' starts a comment")
             if sym == "eps":
                 raise InputError("symbol 'eps' is reserved for epsilon")
             if sym in seen:
@@ -385,11 +388,7 @@ def parse_automaton(text: str, as_dfa_flag: bool = False) -> Nfa:
     """Parse the serialize_automaton format.  Blank lines and ``#``
     comments are allowed.  With as_dfa_flag, epsilon transitions are
     rejected and the result is a validated Dfa."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
+    rows = [(lineno, line.split()) for lineno, line in _content_lines(text)]
     if len(rows) < 4:
         raise ParseError("expected header lines: states, alphabet, initial, finals")
 

@@ -317,10 +317,7 @@ def parse_digraph(text: str) -> Digraph:
     """
     n: int | None = None
     edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split()
         if n is None:
             if fields[0] != "digraph" or len(fields) != 2:
@@ -333,11 +330,11 @@ def parse_digraph(text: str) -> Digraph:
                 raise ParseError(f"vertex count must be >= 0, got {n}", line=lineno)
             continue
         if len(fields) != 2:
-            raise ParseError(f"expected '<u> <v>', got {line!r}", line=lineno)
+            raise ParseError(f"expected '<u> <v>', got {line.lstrip()!r}", line=lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(f"bad edge {line!r}", line=lineno) from None
+            raise ParseError(f"bad edge {line.lstrip()!r}", line=lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u}, {v}) out of range for n={n}", line=lineno)
         if (u, v) in edges:
@@ -358,14 +355,25 @@ def format_vertex_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 
 
-def parse_vertex_set(text: str) -> frozenset[int]:
+def parse_vertex_set(text: str, line: int | None = None) -> frozenset[int]:
+    """Parse ``{v1,v2,...}``; ``line`` numbers a ParseError."""
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
-        raise ParseError(f"expected {{v1,v2,...}}, got {text!r}")
+        raise ParseError(f"expected {{v1,v2,...}}, got {text!r}", line=line)
     body = t[1:-1].strip()
     if not body:
         return frozenset()
     try:
         return frozenset(int(p) for p in body.split(","))
     except ValueError:
-        raise ParseError(f"bad vertex set {text!r}") from None
+        raise ParseError(f"bad vertex set {text!r}", line=line) from None
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text`` that holds more than
+    a comment, with the ``#`` comment and trailing blanks cut.  Every text
+    format of the package reads its lines through here."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield lineno, line

@@ -25,11 +25,13 @@ this package.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .digraph import (
     Digraph,
+    _content_lines,
     format_vertex_set,
     is_nontrivial_component,
     nontrivial_sccs_within,
@@ -71,13 +73,9 @@ class EliminationNode:
     def __eq__(self, other):
         if not isinstance(other, EliminationNode):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if (a.pivot, a.scope, len(a.children)) != (b.pivot, b.scope, len(b.children)):
-                return False
-            todo.extend(zip(a.children, b.children))
-        return True
+        # A preorder with depths determines an ordered tree.
+        a, b = (((d, n.pivot, n.scope) for n, d in _preorder((t,))) for t in (self, other))
+        return all(x == y for x, y in zip_longest(a, b))
 
     def __hash__(self):
         return hash((self.pivot, self.scope))
@@ -102,6 +100,16 @@ class EliminationForest:
         return len(self.trees)
 
 
+def _preorder(trees: tuple[EliminationNode, ...]) -> Iterator[tuple[EliminationNode, int]]:
+    """(node, depth) for every node of the trees, parents before children
+    and siblings left to right, on an explicit stack; roots have depth 0."""
+    todo = [(t, 0) for t in reversed(trees)]
+    while todo:
+        node, depth = todo.pop()
+        yield node, depth
+        todo.extend((c, depth + 1) for c in reversed(node.children))
+
+
 def all_nodes(forest: EliminationForest) -> list[EliminationNode]:
     out = []
     todo = list(forest.trees)
@@ -114,14 +122,7 @@ def all_nodes(forest: EliminationForest) -> list[EliminationNode]:
 
 def height(forest: EliminationForest) -> int:
     """Number of nodes on a longest root-to-leaf path; empty forest is 0."""
-    best = 0
-    todo = [(t, 1) for t in forest.trees]
-    while todo:
-        node, d = todo.pop()
-        if d > best:
-            best = d
-        todo.extend((c, d + 1) for c in node.children)
-    return best
+    return max((d for _, d in _preorder(forest.trees)), default=-1) + 1
 
 
 def pivot_tree(g: Digraph, scope: frozenset[int],
@@ -250,55 +251,40 @@ def forest_to_path_decomposition(g: Digraph, forest: EliminationForest) -> list[
 
 
 def serialize_forest(forest: EliminationForest) -> str:
-    lines: list[str] = []
-    # Preorder on an explicit stack, so depth is not bounded by recursion.
-    todo = [(t, 0) for t in reversed(forest.trees)]
-    while todo:
-        node, depth = todo.pop()
-        lines.append("  " * depth + f"{node.pivot} {format_vertex_set(node.scope)}")
-        todo.extend((c, depth + 1) for c in reversed(node.children))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{'  ' * depth}{node.pivot} {format_vertex_set(node.scope)}\n"
+                   for node, depth in _preorder(forest.trees))
 
 
 def parse_forest(text: str) -> EliminationForest:
     """Parse the indented node-per-line format back into a forest."""
-    # Children lists are mutable while building, frozen at the end.
-    entries: list[tuple[int, int, frozenset[int], int]] = []  # line, depth, scope, pivot
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        stripped = raw.lstrip(" ")
-        indent = len(raw) - len(stripped)
+    entries: list[tuple[int, int, frozenset[int]]] = []  # depth, pivot, scope
+    skips: list[int] = []  # reported after any other fault, wherever it is
+    for lineno, line in _content_lines(text):
+        stripped = line.lstrip(" ")
+        indent = len(line) - len(stripped)
         if indent % 2:
             raise ParseError("indentation must be a multiple of two spaces", line=lineno)
         fields = stripped.split(None, 1)
         if len(fields) != 2:
-            raise ParseError(f"expected '<pivot> {{scope}}', got {raw!r}", line=lineno)
+            raise ParseError(f"expected '<pivot> {{scope}}', got {line!r}", line=lineno)
         try:
             pivot = int(fields[0])
         except ValueError:
             raise ParseError(f"bad pivot {fields[0]!r}", line=lineno) from None
-        scope = parse_vertex_set(fields[1])
-        entries.append((lineno, indent // 2, scope, pivot))
+        scope = parse_vertex_set(fields[1], lineno)
+        if indent // 2 > (entries[-1][0] + 1 if entries else 0):
+            skips.append(lineno)
+        entries.append((indent // 2, pivot, scope))
+    if skips:
+        raise ParseError("node skips an indentation level", line=skips[0])
 
-    roots: list[list] = []
-    nodes: list[list] = []  # in line order, so every parent before its children
-    stack: list[tuple[int, list]] = []  # (depth, mutable node [pivot, scope, children])
-    for lineno, depth, scope, pivot in entries:
-        node = [pivot, scope, []]
-        nodes.append(node)
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
-        if depth == 0:
-            roots.append(node)
-        else:
-            if not stack or stack[-1][0] != depth - 1:
-                raise ParseError("node skips an indentation level", line=lineno)
-            stack[-1][1][2].append(node)
-        stack.append((depth, node))
-
-    # Freezing in reverse line order finds every child already frozen, so
-    # depth is not bounded by recursion; the frozen node goes in slot 3.
-    for node in reversed(nodes):
-        node.append(EliminationNode(node[0], node[1], tuple(c[3] for c in node[2])))
-    return EliminationForest(tuple(r[3] for r in roots))
+    # Bottom up: walking the lines in reverse, a node's children are the
+    # nodes one level deeper on top of the stack, its first child on top;
+    # so every node is built frozen, and depth is not bounded by recursion.
+    stack: list[tuple[int, EliminationNode]] = []
+    for depth, pivot, scope in reversed(entries):
+        children = []
+        while stack and stack[-1][0] == depth + 1:
+            children.append(stack.pop()[1])
+        stack.append((depth, EliminationNode(pivot, scope, tuple(children))))
+    return EliminationForest(tuple(node for _, node in reversed(stack)))

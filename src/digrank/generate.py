@@ -122,6 +122,5 @@ def random_bideterministic(rng: random.Random, max_states: int,
             warnings.simplefilter("ignore")
             t = trim(cand)
         if t.finals:
-            return t if isinstance(t, Dfa) else Dfa(
-                t.states, t.alphabet, t.transitions, t.initial, t.finals)
+            return t  # trim keeps the concrete type, so a Dfa
     raise InputError(f"no trim bideterministic automaton found in {max_tries} tries")

@@ -32,12 +32,13 @@ from .bitsets import bits, mask_of, set_of
 from .cyclerank import crank_exact
 from .digraph import (
     Digraph,
+    _content_lines,
     format_vertex_set,
     parse_vertex_set,
     scc_mask_partition,
     sccs_within,
 )
-from .errors import CapacityError, InputError, ParseError
+from .errors import CapacityError, InputError
 
 DPW_VERTEX_LIMIT = 20
 SNUM_VERTEX_LIMIT = 15
@@ -284,13 +285,4 @@ def serialize_path_decomposition(bags: Bags) -> str:
 
 
 def parse_path_decomposition(text: str) -> Bags:
-    bags: Bags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            bags.append(parse_vertex_set(line))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return bags
+    return [parse_vertex_set(line.lstrip(), lineno) for lineno, line in _content_lines(text)]

@@ -1,5 +1,7 @@
 """Small graph and forest builders shared by the test modules."""
 
+from hypothesis import strategies as st
+
 from digrank import Digraph, EliminationForest, EliminationNode
 
 
@@ -41,3 +43,20 @@ def least_pivot_path_forest(n):
         node = EliminationNode(i, frozenset(range(i, n)),
                                (node,) if node else ())
     return EliminationForest((node,) if node else ())
+
+
+NOTES = ["", "   ", "# a note", "  # an indented note", "#"]
+TAILS = ["", "  ", " # a trailing note", "\t# two # marks"]
+
+
+def with_comments(data, text):
+    """``text`` with comment-only and blank lines, trailing comments and
+    trailing blanks spliced in where the hypothesis ``data`` draws them;
+    every text format must read the result as ``text``."""
+    notes = st.lists(st.sampled_from(NOTES), max_size=2)
+    out = []
+    for line in text.splitlines():
+        out += data.draw(notes)
+        out.append(line + data.draw(st.sampled_from(TAILS)))
+    out += data.draw(notes)
+    return "\n".join(out) + "\n"

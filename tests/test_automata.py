@@ -9,6 +9,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import (
     Dfa,
@@ -44,7 +45,7 @@ from digrank.generate import (
 from digrank import ParseError
 from digrank.regex import serialize_regex
 
-from common import clique, cycle
+from common import clique, cycle, with_comments
 
 
 def a_cycle(n):
@@ -80,6 +81,14 @@ def test_nfa_validation():
         Nfa(1, ("a",), frozenset({(0, "b", 0)}), 0, frozenset())
     with pytest.raises(InputError):
         Nfa(1, ("a",), frozenset(), 3, frozenset())
+
+
+def test_symbols_cannot_hold_a_comment_mark():
+    # The text format would cut such a symbol at its '#', so the
+    # automaton could not survive serialize_automaton and parse_automaton.
+    for alphabet in [("a#b", "c"), ("#",), ("a", "#b")]:
+        with pytest.raises(InputError, match="'#' starts a comment"):
+            Nfa(2, alphabet, frozenset(), 0, frozenset())
 
 
 def test_dfa_validation():
@@ -445,6 +454,7 @@ def test_parse_automaton_roundtrip():
                regex_to_nfa(parse_regex("(a*b)*"))]
     samples.extend(random_bideterministic(rng, 5, ("s0", "s1"))
                    for _ in range(10))
+    assert all(type(a) is Dfa for a in samples[4:])
     for a in samples:
         text = serialize_automaton(a)
         back = parse_automaton(text, as_dfa_flag=isinstance(a, Dfa))
@@ -464,8 +474,15 @@ def test_parse_automaton_accepts_comments():
 
 
 def test_parse_automaton_errors():
-    with pytest.raises(ParseError):
-        parse_automaton("states 1\n")
+    for text, message in [
+            ("states 1\n", "expected header lines: states, alphabet, initial, finals"),
+            ("states 1\nalphabet a\ninitial 0\nfinals 0\n0 a\n",
+             "line 5: expected 'p symbol q', got '0 a'"),
+            ("states 1\nalphabet a\ninitial 0\nfinals 0\n0  a   # a note\n",
+             "line 5: expected 'p symbol q', got '0 a'")]:
+        with pytest.raises(ParseError) as info:
+            parse_automaton(text)
+        assert str(info.value) == message
     with pytest.raises(ParseError):
         parse_automaton("states x\nalphabet a\ninitial 0\nfinals 0\n")
     with pytest.raises(ParseError):
@@ -477,6 +494,32 @@ def test_parse_automaton_errors():
                         as_dfa_flag=True)
     with pytest.raises(ParseError):  # out of range, wrapped from validation
         parse_automaton("states 1\nalphabet a\ninitial 5\nfinals 0\n")
+
+
+SYMBOLS = ["a", "b", "xy", "(0,1)", "s0"]
+
+
+@st.composite
+def automata(draw):
+    states = draw(st.integers(1, 5))
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), unique=True, max_size=4))
+    state = st.integers(0, states - 1)
+    transitions = draw(st.frozensets(
+        st.tuples(state, st.sampled_from([None, *alphabet]), state), max_size=8))
+    return Nfa(states, alphabet, transitions, draw(state), draw(st.frozensets(state)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(automata(), st.data())
+def test_text_round_trip_with_comments(a, data):
+    text = serialize_automaton(a)
+    commented = with_comments(data, text)
+    parsed = parse_automaton(commented)
+    assert parsed == a
+    assert serialize_automaton(parsed) == text
+    if is_deterministic(a):
+        dfa = parse_automaton(commented, as_dfa_flag=True)
+        assert dfa == Dfa(a.states, a.alphabet, a.transitions, a.initial, a.finals)
 
 
 def test_edge_symbol_format():

@@ -4,11 +4,13 @@ the stdout/stderr split."""
 import io
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,12 @@ def test_forest_validate_ok(graph, capsys):
     code, out, _ = run(capsys, ["forest", "validate", graph("c3.dg", C3),
                                 graph("f.txt", "0 {0,1,2}\n")])
     assert (code, out) == (0, "valid yes\n")
+
+
+def test_forest_validate_reads_comments(graph, capsys):
+    forest = graph("f.txt", "# witness\n0 {0,1,2}  # the root\n")
+    code, out, err = run(capsys, ["forest", "validate", graph("c3.dg", C3), forest])
+    assert (code, out, err) == (0, "valid yes\n", "")
 
 
 def test_forest_validate_deep_forest(graph, capsys):
@@ -324,6 +332,50 @@ def test_bench_argument_errors(capsys):
     assert run(capsys, ["bench", "crank", "--n", "70"])[0] == 3
     assert run(capsys, ["bench", "crank", "--n", "5", "--outdeg", "0"])[0] == 1
     assert run(capsys, ["bench", "crank", "--n", "5", "--trials", "-1"])[0] == 1
+
+
+def readme_transcript():
+    """The commands of README's three-cycle block, each split as a shell
+    would split it, with the stdout lines shown under it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("A three-cycle, end to end:", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append((shlex.split(line[2:]), []))
+        else:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_transcript(capsys, tmp_path, monkeypatch):
+    # Replays the README block in a scratch directory: `printf ... > FILE`
+    # writes FILE, `> FILE` captures stdout and `2>/dev/null` drops stderr.
+    monkeypatch.chdir(tmp_path)
+    steps = readme_transcript()
+    assert len(steps) == 8
+    for argv, want in steps:
+        if argv[0] == "printf":
+            assert argv[2] == ">" and len(argv) == 4 and not want
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"))
+            continue
+        assert argv[0] == "digrank", argv
+        args = argv[1:]
+        keep_err = "2>/dev/null" not in args
+        if not keep_err:
+            args.remove("2>/dev/null")
+        out_file = None
+        if ">" in args:
+            args, out_file = args[:args.index(">")], args[-1]
+        code, out, err = run(capsys, args)
+        assert code == 0, argv
+        if keep_err:
+            assert err == "", argv
+        if out_file:
+            Path(out_file).write_text(out)
+            out = ""
+        assert out.splitlines() == want, argv
 
 
 def test_unknown_arguments_exit_1(capsys):

@@ -29,7 +29,7 @@ from digrank.digraph import (
 )
 from digrank.generate import random_strongly_connected
 
-from common import chain, clique, cycle, edgeless, loop_vertex
+from common import chain, clique, cycle, edgeless, loop_vertex, with_comments
 
 
 def test_constructor_rejects_out_of_range_edges():
@@ -277,6 +277,15 @@ def test_parse_digraph_malformed():
                  "digraph 2\n0 1 2\n", "0 1\n"]:
         with pytest.raises(ParseError):
             parse_digraph(text)
+    # The full error texts.
+    for text, message in [
+            ("digraph x\n", "line 1: bad vertex count 'x'"),
+            ("digraph 2\n0 1 2\n", "line 2: expected '<u> <v>', got '0 1 2'"),
+            ("digraph 2\n  0 1 2  # a note\n", "line 2: expected '<u> <v>', got '0 1 2'"),
+            ("digraph 2\n0 x\n", "line 2: bad edge '0 x'")]:
+        with pytest.raises(ParseError) as info:
+            parse_digraph(text)
+        assert str(info.value) == message
 
 
 def test_parse_digraph_duplicate_edge_warns():
@@ -293,6 +302,16 @@ def test_serialize_roundtrip():
             n, [(u, v) for u in range(n) for v in range(n)
                 if rng.random() < 0.4])
         assert parse_digraph(serialize_digraph(g)) == g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_subsets(), st.data())
+def test_text_round_trip_with_comments(case, data):
+    g, _ = case
+    text = serialize_digraph(g)
+    parsed = parse_digraph(with_comments(data, text))
+    assert parsed == g
+    assert serialize_digraph(parsed) == text
 
 
 def test_serialize_is_sorted():

@@ -24,7 +24,7 @@ from digrank.digraph import nontrivial_sccs_within
 from digrank.elimination import all_nodes, height, pivot_tree
 
 from common import (bidirected_path, chain, clique, cycle, least_pivot_path_forest,
-                    loop_vertex)
+                    loop_vertex, with_comments)
 
 
 def tree(pivot, scope, *children):
@@ -172,6 +172,17 @@ def test_deep_forest_equality_and_hash():
     assert forest != other
 
 
+def test_equality_compares_shape():
+    # Same nodes in the same preorder, at other depths or fewer of them.
+    siblings = tree(0, {0, 1, 2}, tree(1, {1}), tree(2, {2}))
+    nested = tree(0, {0, 1, 2}, tree(1, {1}, tree(2, {2})))
+    pruned = tree(0, {0, 1, 2}, tree(1, {1}))
+    assert siblings == tree(0, {0, 1, 2}, tree(1, {1}), tree(2, {2}))
+    for a, b in [(siblings, nested), (siblings, pruned), (pruned, siblings)]:
+        assert a != b
+    assert siblings != "0 {0,1,2}"
+
+
 def test_deep_forest_pickles_and_deep_copies():
     # Deeper than the recursion limit: nodes pickle through the text format.
     forest = least_pivot_path_forest(1201)
@@ -202,14 +213,26 @@ def test_deep_forest_repr():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_forest(" 0 {0}\n")  # odd indentation
-    with pytest.raises(ParseError):
-        parse_forest("0 {0,1}\n    1 {1}\n")  # skips a level
-    with pytest.raises(ParseError):
-        parse_forest("x {0}\n")
-    with pytest.raises(ParseError):
-        parse_forest("0\n")
+    # The full error texts.  A fault found on a later line of the first
+    # pass still wins over a skipped level above it.
+    for text, message in [
+            (" 0 {0}\n", "line 1: indentation must be a multiple of two spaces"),
+            ("0 {0,1}\n    1 {1}\n", "line 2: node skips an indentation level"),
+            ("  0 {0}\n", "line 1: node skips an indentation level"),
+            ("  0 {0}\nx {0}\n", "line 2: bad pivot 'x'"),
+            ("x {0}\n", "line 1: bad pivot 'x'"),
+            ("0\n", "line 1: expected '<pivot> {scope}', got '0'"),
+            ("0   # a note\n", "line 1: expected '<pivot> {scope}', got '0'"),
+            ("0 {0,x}\n", "line 1: bad vertex set '{0,x}'"),
+            ("0 {0}\n  1 0,1\n", "line 2: expected {v1,v2,...}, got '0,1'")]:
+        with pytest.raises(ParseError) as info:
+            parse_forest(text)
+        assert str(info.value) == message
+
+
+def test_parse_skips_comments():
+    text = "# witness\n0 {0,1,2}  # root\n\n  # its one child:\n  1 {1,2}\n"
+    assert parse_forest(text) == K3_FOREST
 
 
 @st.composite
@@ -221,18 +244,33 @@ def graphs_with_priorities(draw):
     return g, draw(st.permutations(range(n)))
 
 
+def highest_first_forest(g, priority):
+    """The forest that pivots every scope on its vertex of highest priority."""
+    def highest(scope):
+        return max(scope, key=priority.__getitem__)
+
+    return EliminationForest(tuple(
+        pivot_tree(g, c, highest) for c in nontrivial_sccs_within(g, g.vertices)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graphs_with_priorities())
 def test_pivot_tree_is_valid_under_any_pivot_rule(case):
     g, priority = case
-
-    def highest(scope):
-        return max(scope, key=priority.__getitem__)
-
-    forest = EliminationForest(tuple(
-        pivot_tree(g, c, highest) for c in nontrivial_sccs_within(g, g.vertices)))
+    forest = highest_first_forest(g, priority)
     assert validate_forest(g, forest) == []
     assert height(forest) >= crank_exact(g).value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_priorities(), st.data())
+def test_text_round_trip_with_comments(case, data):
+    forest = highest_first_forest(*case)
+    text = serialize_forest(forest)
+    parsed = parse_forest(with_comments(data, text))
+    assert parsed == forest
+    assert serialize_forest(parsed) == text
+    assert height(parsed) == height(forest)
 
 
 def test_pivot_tree_rejects_a_pivot_outside_its_scope():

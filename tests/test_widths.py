@@ -8,11 +8,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrank import (
     CapacityError,
     Digraph,
     InputError,
+    ParseError,
     check_bounds,
     crank_exact,
     dpw_exact,
@@ -31,7 +33,7 @@ from digrank.widths import (
     serialize_path_decomposition,
 )
 
-from common import chain, clique, cycle, edgeless, loop_vertex
+from common import chain, clique, cycle, edgeless, loop_vertex, with_comments
 
 
 def bags(*sets):
@@ -84,6 +86,19 @@ def test_decomposition_text_roundtrip():
     assert serialize_path_decomposition(dec) == "{0,1}\n{0}\n{0,2}\n"
     assert parse_path_decomposition("{0,1}\n\n{0}\n{0,2}\n") == dec
     assert parse_path_decomposition("") == []
+    assert parse_path_decomposition("# bags\n{0,1}  # first\n{0}\n{0,2}\n") == dec
+    with pytest.raises(ParseError) as info:
+        parse_path_decomposition("{0}\n  {x}  # a note\n")
+    assert str(info.value) == "line 2: bad vertex set '{x}'"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.frozensets(st.integers(0, 12)), max_size=8), st.data())
+def test_decomposition_round_trip_with_comments(dec, data):
+    text = serialize_path_decomposition(dec)
+    parsed = parse_path_decomposition(with_comments(data, text))
+    assert parsed == dec
+    assert serialize_path_decomposition(parsed) == text
 
 
 # exact directed pathwidth
