@@ -1,7 +1,8 @@
 """Directed feedback vertex sets (DFVS) by one depth-bounded branching
 search.  S is a minimal DFVS exactly when V - S is a maximal acyclic set,
 so maximal_acyclic_subsets complements the enumerated minimal sets, while
-min_dfvs deepens the search bound until it finds a set.
+min_dfvs deepens the search bound until a branch and bound over the same
+search finds the lexicographically least set of that size.
 
 Every vertex carrying a loop lies in every DFVS; min_dfvs reports these
 forced vertices separately.
@@ -176,6 +177,83 @@ def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozense
     return result
 
 
+def _lex_below(a: int, b: int) -> bool:
+    """For masks of equal size: A's sorted vertex tuple precedes B's
+    exactly when the lowest vertex in which they differ lies in A."""
+    d = a ^ b
+    return bool(d & -d & a)
+
+
+def _least_feedback_mask(g: Digraph, k: int) -> int | None:
+    """The lexicographically least feedback set of k vertices, as a mask,
+    when k is at most the minimum size; None when k is below it.
+
+    The node loop of _feedback_masks, run as a branch and bound.  A node
+    branches on a shortest cycle through the least vertex of core - P that
+    lies on a cycle, its children in ascending vertex order, each
+    forbidding the vertices tried before it, the least popped first.  The
+    best set found so far is kept.  With need = k - |X|, a node is cut when
+    fewer than need vertices of core - P remain, or when X plus the need
+    least of them is not below the best.
+
+    Soundness.  No feedback set has fewer than k vertices, so every set
+    found has exactly k.  The completeness argument of _feedback_masks
+    holds whichever cycle is branched on, so the least such set Y* is
+    reached, and every node on its path has X inside Y* and P disjoint
+    from it.  Y* - X is a minimal feedback set of G - X, so it lies in the
+    core, and that node's bound set is at most Y*: the cut removes the path
+    to Y* only once Y* itself has been found.
+
+    Cost.  If the first descent, which deletes the least vertex of core - P
+    at every node, reaches a leaf, each sibling left on the stack forbids a
+    vertex v of that leaf and its bound set agrees with the leaf below v,
+    so the bound cuts them all without a packing.
+    """
+    succ = g.succ_masks
+    pred = g.pred_masks
+    best = None
+    stack = [(0, 0, _root_core(g))]  # (excluded X, forbidden P, core of G - X)
+    while stack:
+        excluded, forbidden, core = stack.pop()
+        free = core & ~forbidden
+        need = k - excluded.bit_count()
+        if free.bit_count() < need:
+            continue
+        if best is not None:
+            bound, m = excluded, free
+            for _ in range(need):
+                low = m & -m
+                bound |= low
+                m ^= low
+            if not _lex_below(bound, best):
+                continue
+        cycles = _cycle_packing(g, core)
+        if not cycles:
+            best = excluded
+            continue
+        if len(cycles) > need:
+            continue
+        m = free
+        while m:
+            low = m & -m
+            cycle = _shortest_cycle(succ, pred, core, low.bit_length() - 1)
+            if cycle:
+                break
+            m ^= low
+        else:
+            continue  # every cycle of the core holds only forbidden vertices
+        banned = forbidden
+        children = []
+        for c in sorted(cycle):
+            cbit = 1 << c
+            if not banned & cbit:
+                children.append((excluded | cbit, banned,
+                                 _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
+            banned |= cbit
+        stack.extend(reversed(children))
+    return best
+
+
 @dataclass(frozen=True)
 class DfvsResult:
     minimum_set: frozenset[int]
@@ -187,13 +265,11 @@ def min_dfvs(g: Digraph) -> DfvsResult:
     """A minimum DFVS; ties by the lexicographically least vertex tuple.
 
     Iterative deepening on k, from the size of the cycle packing of G, a
-    lower bound.  _feedback_masks(g, k) finds only feedback sets of at most
-    k vertices, and every minimal one that small.  At the least k that
-    finds one, no smaller set exists, so each set found is a minimum set;
-    every minimum set is minimal, so all of them are found.
+    lower bound, so no round's k exceeds the minimum size.
+    _least_feedback_mask(g, k) finds nothing below the minimum size and the
+    least minimum set at it.
     """
     k = len(_cycle_packing(g, _root_core(g)))
-    while not (found := list(_feedback_masks(g, k))):
+    while (best := _least_feedback_mask(g, k)) is None:
         k += 1
-    best = min((set_of(x) for x in found), key=sorted)
-    return DfvsResult(best, k, set_of(g.loop_mask))
+    return DfvsResult(set_of(best), k, set_of(g.loop_mask))

@@ -262,6 +262,8 @@ def parse_forest(text: str) -> EliminationForest:
     for lineno, line in _content_lines(text):
         stripped = line.lstrip(" ")
         indent = len(line) - len(stripped)
+        if stripped[0].isspace():  # a tab or other blank among the spaces
+            raise ParseError("indentation must be spaces only", line=lineno)
         if indent % 2:
             raise ParseError("indentation must be a multiple of two spaces", line=lineno)
         fields = stripped.split(None, 1)

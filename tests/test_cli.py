@@ -137,6 +137,15 @@ def test_forest_validate_bad(graph, capsys):
     assert "violation:" in out
 
 
+def test_forest_validate_rejects_tab_indentation(graph, capsys):
+    # A tab would otherwise pass as blank space and read as a second root.
+    g = graph("g.dg", "digraph 2\n0 1\n1 0\n1 1\n")
+    code, out, err = run(capsys, ["forest", "validate", g,
+                                  graph("f.txt", "0 {0,1}\n\t1 {1}\n")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "line 2" in err
+
+
 def test_dpw(graph, capsys):
     code, out, _ = run(capsys, ["dpw", graph("c4.dg", C4)])
     assert (code, out) == (0, "dpw 1\n{0,3}\n{1,3}\n{2,3}\n{3}\n")

@@ -217,6 +217,8 @@ def test_parse_errors():
     # pass still wins over a skipped level above it.
     for text, message in [
             (" 0 {0}\n", "line 1: indentation must be a multiple of two spaces"),
+            ("0 {0,1}\n\t1 {1}\n", "line 2: indentation must be spaces only"),
+            ("0 {0,1}\n  \t1 {1}\n", "line 2: indentation must be spaces only"),
             ("0 {0,1}\n    1 {1}\n", "line 2: node skips an indentation level"),
             ("  0 {0}\n", "line 1: node skips an indentation level"),
             ("  0 {0}\nx {0}\n", "line 2: bad pivot 'x'"),
