@@ -316,6 +316,9 @@ def _run(argv: list[str] | None) -> int:
             return _HANDLERS[args.command](args)
         except DigrankError as e:
             error = e
+        except (OverflowError, MemoryError) as e:
+            # A declared size far past what the machine can hold.
+            error = CapacityError(f"input too large: {str(e) or type(e).__name__}")
         finally:
             # Every warning reaches stderr, ahead of any error line.
             for w in caught:

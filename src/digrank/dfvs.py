@@ -1,8 +1,9 @@
-"""Directed feedback vertex sets (DFVS) by one depth-bounded branching
-search.  S is a minimal DFVS exactly when V - S is a maximal acyclic set,
-so maximal_acyclic_subsets complements the enumerated minimal sets, while
-min_dfvs deepens the search bound until a branch and bound over the same
-search finds the lexicographically least set of that size.
+"""Directed feedback vertex sets (DFVS) by one branching search with one
+branching rule.  S is a minimal DFVS exactly when V - S is a maximal
+acyclic set, so maximal_acyclic_subsets complements the minimal sets among
+the search's leaves, while min_dfvs deepens a size k until a branch and
+bound over the same search finds the lexicographically least set of k
+vertices.
 
 Every vertex carrying a loop lies in every DFVS; min_dfvs reports these
 forced vertices separately.
@@ -10,7 +11,7 @@ forced vertices separately.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
@@ -114,42 +115,54 @@ def _cycle_packing(g: Digraph, core: int) -> list[list[int]]:
     return cycles
 
 
-def _feedback_masks(g: Digraph, k: int) -> Iterator[int]:
-    """Masks X with G - X acyclic, found by branching on at most k vertices;
-    each is yielded once, since sibling branches differ on a cycle vertex
-    that one excludes and the later ones forbid.
+def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = None
+                    ) -> Iterator[int]:
+    """Masks X with G - X acyclic, each yielded once, since sibling branches
+    differ on a cycle vertex that one excludes and the later ones forbid.
 
     Each search node keeps the core of its residual G - X (see _peel): the
     core of G - X - v is that of (core of G - X) - v, so a child peels only
-    what its one deletion exposes.  A greedy packing of c disjoint cycles in
-    the core bounds the search: a feedback set Y of G containing X hits
-    each of the c cycles at its own vertex of Y - X, so |Y| >= |X| + c, and
-    a node with |X| + c > k lies on no path to a set of at most k vertices.
-    Otherwise branch on the vertices of the packing's first cycle, excluding
-    one per branch and forbidding the ones tried before it.  For a minimal
-    feedback set Y of at most k vertices, taking on each cycle its first
-    vertex of Y, whichever cycle is chosen, never forbids a vertex of Y, and
-    no node on that path is cut, as Y contains its X; so Y is reached in
-    exactly |Y| steps.
+    what its one deletion exposes.  A node whose core is empty is a leaf:
+    G - X is acyclic.  Otherwise the node branches on a shortest cycle
+    through the least vertex of core - P that lies on a cycle, excluding one
+    vertex per child in ascending order and forbidding the ones tried before
+    it; the least child is popped first.  A node with no such vertex is
+    dead: every cycle left holds only forbidden vertices.  ``cut(X, P,
+    core)``, when given, drops a node and its subtree.
+
+    Completeness.  For a minimal feedback set Y, taking on each cycle its
+    first vertex of Y, whichever cycle is branched on, never forbids a
+    vertex of Y, so Y is reached in exactly |Y| steps unless the cut drops a
+    node on that path.
     """
     succ = g.succ_masks
     pred = g.pred_masks
     stack = [(0, 0, _root_core(g))]  # (excluded X, forbidden P, core of G - X)
     while stack:
         excluded, forbidden, core = stack.pop()
-        cycles = _cycle_packing(g, core)
-        if not cycles:
+        if cut is not None and cut(excluded, forbidden, core):
+            continue
+        if not core:
             yield excluded
             continue
-        if excluded.bit_count() + len(cycles) > k:
-            continue
+        m = core & ~forbidden
+        while m:
+            low = m & -m
+            cycle = _shortest_cycle(succ, pred, core, low.bit_length() - 1)
+            if cycle:
+                break
+            m ^= low
+        else:
+            continue  # every cycle of the core holds only forbidden vertices
         banned = forbidden
-        for c in cycles[0]:
+        children = []
+        for c in sorted(cycle):
             cbit = 1 << c
             if not banned & cbit:
-                stack.append((excluded | cbit, banned,
-                              _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
+                children.append((excluded | cbit, banned,
+                                 _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
             banned |= cbit
+        stack.extend(reversed(children))
 
 
 def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
@@ -159,7 +172,7 @@ def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset
     succ = g.succ_masks
     full = (1 << g.n) - 1
     sets = []
-    for x in _feedback_masks(g, g.n):
+    for x in _feedback_masks(g):
         if all(not acyclic_mask(succ, full & ~x | (1 << v)) for v in bits(x)):
             sets.append(set_of(x))
             if cap is not None and len(sets) > cap:
@@ -188,37 +201,33 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
     """The lexicographically least feedback set of k vertices, as a mask,
     when k is at most the minimum size; None when k is below it.
 
-    The node loop of _feedback_masks, run as a branch and bound.  A node
-    branches on a shortest cycle through the least vertex of core - P that
-    lies on a cycle, its children in ascending vertex order, each
-    forbidding the vertices tried before it, the least popped first.  The
-    best set found so far is kept.  With need = k - |X|, a node is cut when
-    fewer than need vertices of core - P remain, or when X plus the need
-    least of them is not below the best.
+    The search of _feedback_masks, run as a branch and bound: the best set
+    found so far is kept, and with need = k - |X| a node is cut when fewer
+    than need vertices of core - P remain, when X plus the need least of
+    them is not below the best, or when the core packs more than need
+    disjoint cycles.
 
     Soundness.  No feedback set has fewer than k vertices, so every set
-    found has exactly k.  The completeness argument of _feedback_masks
-    holds whichever cycle is branched on, so the least such set Y* is
-    reached, and every node on its path has X inside Y* and P disjoint
-    from it.  Y* - X is a minimal feedback set of G - X, so it lies in the
-    core, and that node's bound set is at most Y*: the cut removes the path
-    to Y* only once Y* itself has been found.
+    found has exactly k.  The least such set Y* is minimal, so by the
+    completeness argument of _feedback_masks it is reached unless a node on
+    its path is cut; every such node has X inside Y* and P disjoint from
+    it.  Y* - X is a minimal feedback set of G - X, so it lies in the core,
+    there are enough free vertices, no packing exceeds |Y* - X| = need, and
+    that node's bound set is at most Y*: the cut removes the path to Y*
+    only once Y* itself has been found.
 
     Cost.  If the first descent, which deletes the least vertex of core - P
     at every node, reaches a leaf, each sibling left on the stack forbids a
     vertex v of that leaf and its bound set agrees with the leaf below v,
     so the bound cuts them all without a packing.
     """
-    succ = g.succ_masks
-    pred = g.pred_masks
     best = None
-    stack = [(0, 0, _root_core(g))]  # (excluded X, forbidden P, core of G - X)
-    while stack:
-        excluded, forbidden, core = stack.pop()
+
+    def cut(excluded: int, forbidden: int, core: int) -> bool:
         free = core & ~forbidden
         need = k - excluded.bit_count()
         if free.bit_count() < need:
-            continue
+            return True
         if best is not None:
             bound, m = excluded, free
             for _ in range(need):
@@ -226,31 +235,11 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
                 bound |= low
                 m ^= low
             if not _lex_below(bound, best):
-                continue
-        cycles = _cycle_packing(g, core)
-        if not cycles:
-            best = excluded
-            continue
-        if len(cycles) > need:
-            continue
-        m = free
-        while m:
-            low = m & -m
-            cycle = _shortest_cycle(succ, pred, core, low.bit_length() - 1)
-            if cycle:
-                break
-            m ^= low
-        else:
-            continue  # every cycle of the core holds only forbidden vertices
-        banned = forbidden
-        children = []
-        for c in sorted(cycle):
-            cbit = 1 << c
-            if not banned & cbit:
-                children.append((excluded | cbit, banned,
-                                 _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
-            banned |= cbit
-        stack.extend(reversed(children))
+                return True
+        return bool(core) and len(_cycle_packing(g, core)) > need
+
+    for best in _feedback_masks(g, cut):
+        pass
     return best
 
 

@@ -33,10 +33,10 @@ from .cyclerank import crank_exact
 from .digraph import (
     Digraph,
     _content_lines,
+    _vertex_mask,
     format_vertex_set,
     parse_vertex_set,
     scc_mask_partition,
-    sccs_within,
 )
 from .errors import CapacityError, InputError
 
@@ -180,6 +180,14 @@ def dpw_by_layout_enumeration(g: Digraph) -> int:
 # weak balanced separators
 
 
+def _balanced(g: Digraph, rest: int) -> bool:
+    """True iff every SCC of the subgraph on the mask ``rest`` has at most
+    ceil(|rest| / 2) vertices."""
+    bound = (rest.bit_count() + 1) // 2
+    return all(c.bit_count() <= bound
+               for c in scc_mask_partition(g.succ_masks, g.pred_masks, rest))
+
+
 def is_weak_balanced_separator(g: Digraph, u: frozenset[int] | set[int],
                                s: frozenset[int] | set[int]) -> bool:
     """True iff every SCC of the subgraph on U - S has at most
@@ -189,12 +197,7 @@ def is_weak_balanced_separator(g: Digraph, u: frozenset[int] | set[int],
     s = frozenset(s)
     if not s <= u:
         raise InputError("separator must be a subset of the target set")
-    for v in u:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    rest = u - s
-    bound = (len(rest) + 1) // 2
-    return all(len(c) <= bound for c in sccs_within(g, rest))
+    return _balanced(g, _vertex_mask(g, u) & ~mask_of(s))
 
 
 def least_separator(g: Digraph, u_mask: int) -> int:
@@ -203,16 +206,11 @@ def least_separator(g: Digraph, u_mask: int) -> int:
     most ceil(|U - S| / 2) vertices; one SCC partition per candidate.
     S = U always qualifies.
     """
-    succ = g.succ_masks
-    pred = g.pred_masks
     verts = list(bits(u_mask))
-    m = len(verts)
-    for k in range(m + 1):
-        bound = (m - k + 1) // 2
+    for k in range(len(verts) + 1):
         for combo in itertools.combinations(verts, k):
             s_mask = mask_of(combo)
-            if all(c.bit_count() <= bound
-                   for c in scc_mask_partition(succ, pred, u_mask & ~s_mask)):
+            if _balanced(g, u_mask & ~s_mask):
                 return s_mask
     raise AssertionError("unreachable: S = U always qualifies")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digrank import serialize_digraph, serialize_forest
+from digrank import cli, serialize_digraph, serialize_forest
 from digrank.cli import main
 from digrank.generate import random_strongly_connected
 
@@ -292,6 +292,34 @@ def test_empty_language_warns_before_the_error(graph, capsys):
     assert (code, out) == (2, "")
     assert err == ("warning: empty language: trim kept only the initial state\n"
                    "error: trimmed automaton is not bideterministic\n")
+
+
+HUGE = "1" + "0" * 30
+HUGE_AUT = f"states {HUGE}\nalphabet a\ninitial 0\nfinals 0\n0 a 0\n"
+
+
+@pytest.mark.parametrize("command, name, text, rest", [
+    (["sh", "bidet"], "h.aut", HUGE_AUT, []),
+    (["reduce", "binarize"], "h.aut", HUGE_AUT, []),
+    (["reduce", "walk"], "h.dg", f"digraph {HUGE}\n0 0\n", ["0"]),
+], ids=["sh-bidet", "reduce-binarize", "reduce-walk"])
+def test_astronomical_declared_size_is_a_capacity_error(graph, capsys, command,
+                                                         name, text, rest):
+    # The sizes parse, but lists and masks that large overflow.
+    code, out, err = run(capsys, [*command, graph(name, text), *rest])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: input too large: ")
+    assert err.count("\n") == 1
+
+
+def test_memory_error_is_a_capacity_error(graph, capsys, monkeypatch):
+    # MemoryError usually carries no message; the line still says what.
+    def exhaust(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "crank", exhaust)
+    code, out, err = run(capsys, ["crank", "exact", graph("c3.dg", C3)])
+    assert (code, out, err) == (3, "", "error: input too large: MemoryError\n")
 
 
 def test_superscript_digit_count_is_an_input_error(graph, capsys):

@@ -23,8 +23,10 @@ from digrank import (
     min_dfvs,
     minimal_dfvs_enumerate,
 )
+from digrank.bitsets import set_of
 from digrank.dfvs import (
-    _cycle_packing, _least_feedback_mask, _lex_below, _peel, _root_core)
+    _cycle_packing, _feedback_masks, _least_feedback_mask, _lex_below, _peel,
+    _root_core)
 from digrank.digraph import format_vertex_set, nontrivial_sccs_within
 from digrank.generate import random_digraph, random_strongly_connected
 
@@ -169,7 +171,8 @@ def test_min_dfvs_tie_heavy_matches_bruteforce(monkeypatch):
     # On these graphs the least-first descent never meets a packing cut,
     # so at the minimum size it reaches the least set at its first leaf,
     # and the bound then cuts every sibling left on the stack before any
-    # packing: the round packs once per deleted vertex plus once at the leaf.
+    # packing: the round packs once per deleted vertex, and not at the
+    # leaf, whose core is empty.
     packings = []
 
     def counted(g, core):
@@ -184,7 +187,7 @@ def test_min_dfvs_tie_heavy_matches_bruteforce(monkeypatch):
         assert min_dfvs(g).minimum_set == best
         packings.clear()
         assert _least_feedback_mask(g, len(best)) == sum(1 << v for v in best)
-        assert len(packings) == len(best) + 1
+        assert len(packings) == len(best)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -231,6 +234,36 @@ def test_cycle_packing_is_a_lower_bound():
             assert all(g.has_edge(u, w) for u, w in zip(c, c[1:] + c[:1]))
 
 
+def test_minimal_dfvs_enumerate_never_packs(monkeypatch):
+    # The enumerator's search has no depth bound, so a packing could cut
+    # nothing; it branches on one shortest cycle per node instead.
+    def refuse(g, core):
+        raise AssertionError("minimal_dfvs_enumerate packed cycles")
+
+    monkeypatch.setattr("digrank.dfvs._cycle_packing", refuse)
+    rng = random.Random(103)
+    for _ in range(80):
+        n = rng.randrange(1, 8)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
+                           allow_loops=True)
+        full = frozenset(range(n))
+        assert minimal_dfvs_enumerate(g) == as_sorted(
+            full - a for a in acyclic_subsets_bruteforce(g))
+
+
+def test_feedback_mask_leaves_cover_the_minimal_sets():
+    rng = random.Random(107)
+    for _ in range(120):
+        n = rng.randrange(1, 9)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
+                           allow_loops=True)
+        leaves = [set_of(x) for x in _feedback_masks(g)]
+        assert len(leaves) == len(set(leaves))
+        assert all(is_dfvs(g, s) for s in leaves)
+        full = frozenset(range(n))
+        assert {full - a for a in acyclic_subsets_bruteforce(g)} <= set(leaves)
+
+
 def test_min_dfvs_digest_is_pinned():
     # Computed before the cycle-packing bound replaced the plain cycle
     # search; the sets cannot depend on which cycle the search branches on.
@@ -255,6 +288,19 @@ def test_minimal_dfvs_digest_is_pinned():
         h.update(b"\n")
     assert h.hexdigest() == (
         "5e9587d63980de04239613d1d36e7896eb48c4a60c8c034b60009ad756a539f7")
+
+
+def test_minimal_dfvs_digest_is_pinned_larger():
+    # 2 980 minimal sets of strongly connected graphs with n = 14-17,
+    # beyond the brute-force sizes of the pin above.
+    h = hashlib.sha256()
+    for s in range(30):
+        g = random_strongly_connected(random.Random(s), 14 + s % 4, max_outdeg=3)
+        for x in minimal_dfvs_enumerate(g):
+            h.update(format_vertex_set(x).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == (
+        "965cc3a756972c64748b77839d7eff5c089c3a627c1a354441853c1a06c6e386")
 
 
 @pytest.mark.parametrize("n,size,best", [
