@@ -5,8 +5,8 @@ the search's leaves, while min_dfvs deepens a size k until a branch and
 bound over the same search finds the lexicographically least set of k
 vertices.
 
-Every vertex carrying a loop lies in every DFVS; min_dfvs reports these
-forced vertices separately.
+Every vertex carrying a loop lies in every DFVS; the search deletes these
+forced vertices at its root, and min_dfvs reports them separately.
 """
 
 from __future__ import annotations
@@ -120,24 +120,29 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = No
     """Masks X with G - X acyclic, each yielded once, since sibling branches
     differ on a cycle vertex that one excludes and the later ones forbid.
 
+    The root excludes the loop vertices, which lie in every feedback set.
     Each search node keeps the core of its residual G - X (see _peel): the
     core of G - X - v is that of (core of G - X) - v, so a child peels only
     what its one deletion exposes.  A node whose core is empty is a leaf:
-    G - X is acyclic.  Otherwise the node branches on a shortest cycle
-    through the least vertex of core - P that lies on a cycle, excluding one
-    vertex per child in ascending order and forbidding the ones tried before
-    it; the least child is popped first.  A node with no such vertex is
-    dead: every cycle left holds only forbidden vertices.  ``cut(X, P,
-    core)``, when given, drops a node and its subtree.
+    G - X is acyclic.  A node whose forbidden core vertices hold a cycle is
+    dead, as no exclusion left can break that cycle.  Otherwise some
+    vertex of core - P lies on a cycle, and the node branches on a shortest
+    cycle through the least such vertex, excluding one vertex per child in
+    ascending order and forbidding the ones tried before it; the least
+    child is popped first.  ``cut(X, P, core)``, when given, drops a node
+    and its subtree.
 
     Completeness.  For a minimal feedback set Y, taking on each cycle its
     first vertex of Y, whichever cycle is branched on, never forbids a
     vertex of Y, so Y is reached in exactly |Y| steps unless the cut drops a
-    node on that path.
+    node on that path; no node on it is dead, as P is disjoint from Y.
     """
     succ = g.succ_masks
     pred = g.pred_masks
-    stack = [(0, 0, _root_core(g))]  # (excluded X, forbidden P, core of G - X)
+    loops = g.loop_mask
+    root = _root_core(g)
+    # (excluded X, forbidden P, core of G - X)
+    stack = [(loops, 0, _peel(succ, pred, root & ~loops, root))]
     while stack:
         excluded, forbidden, core = stack.pop()
         if cut is not None and cut(excluded, forbidden, core):
@@ -145,15 +150,12 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = No
         if not core:
             yield excluded
             continue
+        if _peel(succ, pred, core & forbidden, forbidden):
+            continue
         m = core & ~forbidden
-        while m:
-            low = m & -m
-            cycle = _shortest_cycle(succ, pred, core, low.bit_length() - 1)
-            if cycle:
-                break
-            m ^= low
-        else:
-            continue  # every cycle of the core holds only forbidden vertices
+        while (cycle := _shortest_cycle(
+                succ, pred, core, (m & -m).bit_length() - 1)) is None:
+            m &= m - 1
         banned = forbidden
         children = []
         for c in sorted(cycle):
@@ -217,9 +219,9 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
     only once Y* itself has been found.
 
     Cost.  If the first descent, which deletes the least vertex of core - P
-    at every node, reaches a leaf, each sibling left on the stack forbids a
-    vertex v of that leaf and its bound set agrees with the leaf below v,
-    so the bound cuts them all without a packing.
+    on a cycle at every node, reaches a leaf, each sibling left on the stack
+    forbids a vertex v of that leaf and its bound set agrees with the leaf
+    below v, so the bound cuts them all without a packing.
     """
     best = None
 

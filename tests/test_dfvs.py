@@ -26,7 +26,7 @@ from digrank import (
 from digrank.bitsets import set_of
 from digrank.dfvs import (
     _cycle_packing, _feedback_masks, _least_feedback_mask, _lex_below, _peel,
-    _root_core)
+    _root_core, _shortest_cycle)
 from digrank.digraph import format_vertex_set, nontrivial_sccs_within
 from digrank.generate import random_digraph, random_strongly_connected
 
@@ -69,7 +69,13 @@ def test_maximal_acyclic_trivial_cases():
     assert maximal_acyclic_subsets(edgeless(0)) == [frozenset()]
 
 
-def test_maximal_acyclic_matches_bruteforce():
+def test_maximal_acyclic_matches_bruteforce(monkeypatch):
+    # The enumerator's search has no depth bound, so a packing could cut
+    # nothing; it branches on one shortest cycle per node instead.
+    def refuse(g, core):
+        raise AssertionError("minimal_dfvs_enumerate packed cycles")
+
+    monkeypatch.setattr("digrank.dfvs._cycle_packing", refuse)
     rng = random.Random(71)
     for _ in range(120):
         n = rng.randrange(1, 8)
@@ -234,24 +240,7 @@ def test_cycle_packing_is_a_lower_bound():
             assert all(g.has_edge(u, w) for u, w in zip(c, c[1:] + c[:1]))
 
 
-def test_minimal_dfvs_enumerate_never_packs(monkeypatch):
-    # The enumerator's search has no depth bound, so a packing could cut
-    # nothing; it branches on one shortest cycle per node instead.
-    def refuse(g, core):
-        raise AssertionError("minimal_dfvs_enumerate packed cycles")
-
-    monkeypatch.setattr("digrank.dfvs._cycle_packing", refuse)
-    rng = random.Random(103)
-    for _ in range(80):
-        n = rng.randrange(1, 8)
-        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
-                           allow_loops=True)
-        full = frozenset(range(n))
-        assert minimal_dfvs_enumerate(g) == as_sorted(
-            full - a for a in acyclic_subsets_bruteforce(g))
-
-
-def test_feedback_mask_leaves_cover_the_minimal_sets():
+def test_feedback_mask_leaves_are_distinct_feedback_sets():
     rng = random.Random(107)
     for _ in range(120):
         n = rng.randrange(1, 9)
@@ -260,8 +249,46 @@ def test_feedback_mask_leaves_cover_the_minimal_sets():
         leaves = [set_of(x) for x in _feedback_masks(g)]
         assert len(leaves) == len(set(leaves))
         assert all(is_dfvs(g, s) for s in leaves)
-        full = frozenset(range(n))
-        assert {full - a for a in acyclic_subsets_bruteforce(g)} <= set(leaves)
+
+
+def count_cycle_searches(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _shortest_cycle(*args)
+
+    monkeypatch.setattr("digrank.dfvs._shortest_cycle", counted)
+    return calls
+
+
+def test_enumerate_excludes_loop_vertices_at_the_root(monkeypatch):
+    # Gadgets a < w < b with a -> w -> b -> a and a loop at w.  Branching
+    # on the triangle through a before deleting w would try a, w and b in
+    # every gadget, about 3^j nodes; the root deletes every w instead.
+    j = 12
+    edges = [e for i in range(j) for a, w, b in [(3 * i, 3 * i + 1, 3 * i + 2)]
+             for e in [(a, w), (w, b), (b, a), (w, w)]]
+    g = Digraph.from_edges(3 * j, edges)
+    calls = count_cycle_searches(monkeypatch)
+    assert minimal_dfvs_enumerate(g) == [frozenset(range(1, 3 * j, 3))]
+    assert len(calls) < 2 * j
+
+
+def test_enumerate_drops_nodes_with_a_forbidden_cycle(monkeypatch):
+    # Gadgets a < w1 < w2 < b with a -> w1 <-> w2 -> b -> a: the child
+    # deleting b forbids the 2-cycle w1 <-> w2, so it is dead at once
+    # instead of branching through every later gadget.
+    j = 6
+    edges = [e for i in range(j)
+             for a, w1, w2, b in [(4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3)]
+             for e in [(a, w1), (w1, w2), (w2, w1), (w2, b), (b, a)]]
+    g = Digraph.from_edges(4 * j, edges)
+    calls = count_cycle_searches(monkeypatch)
+    got = minimal_dfvs_enumerate(g)
+    assert got == as_sorted(frozenset(c) for c in itertools.product(
+        *[(4 * i + 1, 4 * i + 2) for i in range(j)]))
+    assert len(calls) <= 2 * 4 ** j // 3
 
 
 def test_min_dfvs_digest_is_pinned():
