@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bitsets import bits, mask_of
 from .digraph import (
     Digraph,
-    acyclic_mask,
+    core_mask,
     nontrivial_sccs_within,
     reach_mask,
     scc_mask_partition,
@@ -56,7 +56,7 @@ def crank_bruteforce(g: Digraph) -> int:
     def rank(sub: int) -> int:
         if sub in cache:
             return cache[sub]
-        if acyclic_mask(succ, sub):
+        if not core_mask(succ, pred, sub, sub):
             val = 0
         else:
             comps = list(scc_mask_partition(succ, pred, sub))

@@ -1,9 +1,9 @@
 """Directed feedback vertex sets (DFVS) by one branching search with one
-branching rule.  S is a minimal DFVS exactly when V - S is a maximal
-acyclic set, so maximal_acyclic_subsets complements the minimal sets among
-the search's leaves, while min_dfvs deepens a size k until a branch and
-bound over the same search finds the lexicographically least set of k
-vertices.
+branching rule.  minimal_dfvs_enumerate cuts a node once a deleted vertex
+lies on no cycle when put back, so its leaves are the minimal sets, whose
+complements are the maximal acyclic sets.  min_dfvs deepens a size k until
+a branch and bound over the same search finds the lexicographically least
+set of k vertices.
 
 Every vertex carrying a loop lies in every DFVS; the search deletes these
 forced vertices at its root, and min_dfvs reports them separately.
@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .bitsets import bits, set_of
-from .digraph import Digraph, _vertex_mask, acyclic_mask
+from .digraph import Digraph, _vertex_mask, core_mask, reach_mask
 from .errors import CapacityError, ResourceLimitError
 
 DFVS_VERTEX_LIMIT = 64
@@ -24,23 +24,7 @@ DFVS_VERTEX_LIMIT = 64
 def is_dfvs(g: Digraph, s) -> bool:
     """True iff deleting S leaves G acyclic."""
     keep = ((1 << g.n) - 1) & ~_vertex_mask(g, s)
-    return acyclic_mask(g.succ_masks, keep)
-
-
-def _peel(succ, pred, core: int, check: int) -> int:
-    """The core of the mask ``core``: what is left after repeatedly dropping
-    a vertex with no successor or no predecessor inside it.  No cycle loses a
-    vertex.  Only vertices of ``check`` and neighbours of dropped vertices are
-    tested, so ``check`` must hold every vertex that may already qualify."""
-    check &= core
-    while check:
-        low = check & -check
-        check ^= low
-        v = low.bit_length() - 1
-        if not (succ[v] & core and pred[v] & core):
-            core ^= low
-            check |= (succ[v] | pred[v]) & core
-    return core
+    return not core_mask(g.succ_masks, g.pred_masks, keep, keep)
 
 
 def _root_core(g: Digraph) -> int:
@@ -49,7 +33,7 @@ def _root_core(g: Digraph) -> int:
         raise CapacityError(
             f"feedback vertex sets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
     full = (1 << g.n) - 1
-    return _peel(g.succ_masks, g.pred_masks, full, full)
+    return core_mask(g.succ_masks, g.pred_masks, full, full)
 
 
 def _shortest_cycle(succ, pred, sub: int, v: int) -> list[int] | None:
@@ -104,24 +88,23 @@ def _cycle_packing(g: Digraph, core: int) -> list[list[int]]:
                 m ^= low
             cycle = _shortest_cycle(succ, pred, core, v)
             if cycle is None:
-                core = _peel(succ, pred, core ^ (1 << v), succ[v] | pred[v])
+                core = core_mask(succ, pred, core ^ (1 << v), succ[v] | pred[v])
                 continue
         cycles.append(cycle)
         touched = 0
         for c in cycle:
             core ^= 1 << c
             touched |= succ[c] | pred[c]
-        core = _peel(succ, pred, core, touched)
+        core = core_mask(succ, pred, core, touched)
     return cycles
 
 
-def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = None
-                    ) -> Iterator[int]:
+def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool]) -> Iterator[int]:
     """Masks X with G - X acyclic, each yielded once, since sibling branches
     differ on a cycle vertex that one excludes and the later ones forbid.
 
     The root excludes the loop vertices, which lie in every feedback set.
-    Each search node keeps the core of its residual G - X (see _peel): the
+    Each search node keeps the core of its residual G - X (see core_mask): the
     core of G - X - v is that of (core of G - X) - v, so a child peels only
     what its one deletion exposes.  A node whose core is empty is a leaf:
     G - X is acyclic.  A node whose forbidden core vertices hold a cycle is
@@ -129,8 +112,8 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = No
     vertex of core - P lies on a cycle, and the node branches on a shortest
     cycle through the least such vertex, excluding one vertex per child in
     ascending order and forbidding the ones tried before it; the least
-    child is popped first.  ``cut(X, P, core)``, when given, drops a node
-    and its subtree.
+    child is popped first.  A node for which ``cut(X, P, core)`` is true is
+    dropped with its subtree.
 
     Completeness.  For a minimal feedback set Y, taking on each cycle its
     first vertex of Y, whichever cycle is branched on, never forbids a
@@ -142,15 +125,15 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = No
     loops = g.loop_mask
     root = _root_core(g)
     # (excluded X, forbidden P, core of G - X)
-    stack = [(loops, 0, _peel(succ, pred, root & ~loops, root))]
+    stack = [(loops, 0, core_mask(succ, pred, root & ~loops, root))]
     while stack:
         excluded, forbidden, core = stack.pop()
-        if cut is not None and cut(excluded, forbidden, core):
+        if cut(excluded, forbidden, core):
             continue
         if not core:
             yield excluded
             continue
-        if _peel(succ, pred, core & forbidden, forbidden):
+        if core_mask(succ, pred, core & forbidden, forbidden):
             continue
         m = core & ~forbidden
         while (cycle := _shortest_cycle(
@@ -162,24 +145,35 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool] | None = No
             cbit = 1 << c
             if not banned & cbit:
                 children.append((excluded | cbit, banned,
-                                 _peel(succ, pred, core ^ cbit, succ[c] | pred[c])))
+                                 core_mask(succ, pred, core ^ cbit, succ[c] | pred[c])))
             banned |= cbit
         stack.extend(reversed(children))
 
 
 def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
-    """All minimal directed feedback vertex sets, canonically sorted; a set
-    the search finds is minimal when putting back any vertex makes a cycle.
-    ``cap`` aborts with ResourceLimitError past that many minimal sets."""
+    """All minimal directed feedback vertex sets, canonically sorted;
+    ``cap`` aborts with ResourceLimitError past that many minimal sets.
+
+    The search of _feedback_masks, cut at a node once some x in X lies on
+    no cycle of G - (X - x).  Deleting more keeps such an x redundant, so no
+    leaf below a cut node is minimal.  On the path to a minimal set Y, X lies
+    in Y and every x in X has a cycle in G - (Y - x), inside G - (X - x), so
+    the cut never fires there.  A leaf passes it exactly when it is minimal.
+    """
     succ = g.succ_masks
+    pred = g.pred_masks
     full = (1 << g.n) - 1
+
+    def cut(excluded: int, forbidden: int, core: int) -> bool:
+        keep = full & ~excluded
+        return any(not reach_mask(succ, keep | 1 << x, x) & pred[x] for x in bits(excluded))
+
     sets = []
-    for x in _feedback_masks(g):
-        if all(not acyclic_mask(succ, full & ~x | (1 << v)) for v in bits(x)):
-            sets.append(set_of(x))
-            if cap is not None and len(sets) > cap:
-                raise ResourceLimitError(
-                    f"minimal feedback set cap {cap} exceeded", partial=len(sets))
+    for x in _feedback_masks(g, cut):
+        sets.append(set_of(x))
+        if cap is not None and len(sets) > cap:
+            raise ResourceLimitError(
+                f"minimal feedback set cap {cap} exceeded", partial=len(sets))
     sets.sort(key=sorted)
     return sets
 

@@ -17,18 +17,21 @@ Strongly connected components are always reported in topological order
 a later one); ties between incomparable components are broken by their
 smallest contained vertex id, which makes every listing deterministic.
 
-scc_mask_partition is the one SCC engine: every SCC partition in the
-package comes from it (queries about a single vertex's component use two
-reach_mask sweeps directly).  It peels the remainder R (initially the
-vertex mask) one component at a time: take the least vertex v of R, let B
-be the vertices of R that reach v, and sweep forward from v inside B.  The
-sweep finds exactly v's component.  Everything it reaches lies in B, so it
-reaches v and is reached from v.  Conversely, if w is in v's component,
-every vertex on a path from v to w is reached from v and reaches w, hence
-v, so the whole path lies in B.  Since each peel removes a whole
-component, v's component in R is its component in the full mask, and the
-components come out by ascending least vertex.  sccs_within orders them
-topologically with Kahn's algorithm on the condensation.
+reach_mask, core_mask and scc_mask_partition are the mask engines.
+reach_mask finds what one vertex reaches.  core_mask peels off vertices
+with no successor or no predecessor left, keeping every cycle: it is the
+one acyclicity test.  scc_mask_partition is the one SCC engine: every SCC
+partition in the package comes from it (queries about a single vertex's
+component use two reach_mask sweeps directly).  It peels the remainder R
+(initially the vertex mask) one component at a time: take the least vertex
+v of R, let B be the vertices of R that reach v, and sweep forward from v
+inside B.  The sweep finds exactly v's component.  Everything it reaches
+lies in B, so it reaches v and is reached from v.  Conversely, if w is in
+v's component, every vertex on a path from v to w is reached from v and
+reaches w, hence v, so the whole path lies in B.  Since each peel removes
+a whole component, v's component in R is its component in the full mask,
+and the components come out by ascending least vertex.  sccs_within orders
+them topologically with Kahn's algorithm on the condensation.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class Digraph:
 
     @cached_property
     def loop_mask(self) -> int:
-        return mask_of(v for v in range(self.n) if (v, v) in self.edges)
+        return mask_of(u for u, v in self.edges if u == v)
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={len(self.edges)})"
@@ -122,21 +125,21 @@ def reach_mask(succ_masks, sub: int, v: int) -> int:
     return seen
 
 
-def acyclic_mask(succ_masks, sub: int) -> bool:
-    """True iff the subgraph induced on the mask ``sub`` has no cycle."""
-    cur = sub
-    while cur:
-        drop = 0
-        m = cur
-        while m:
-            low = m & -m
-            if not (succ_masks[low.bit_length() - 1] & cur):
-                drop |= low
-            m ^= low
-        if not drop:
-            return False
-        cur ^= drop
-    return True
+def core_mask(succ_masks, pred_masks, sub: int, check: int) -> int:
+    """The core of the mask ``sub``: what is left after repeatedly dropping
+    a vertex with no successor or no predecessor inside it.  No cycle loses a
+    vertex, so the core is empty exactly when ``sub`` is acyclic.  Only
+    vertices of ``check`` and neighbours of dropped vertices are tested, so
+    ``check`` must hold every vertex that may already qualify."""
+    check &= sub
+    while check:
+        low = check & -check
+        check ^= low
+        v = low.bit_length() - 1
+        if not (succ_masks[v] & sub and pred_masks[v] & sub):
+            sub ^= low
+            check |= (succ_masks[v] | pred_masks[v]) & sub
+    return sub
 
 
 def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
@@ -271,7 +274,8 @@ def nontrivial_sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozense
 
 def is_acyclic(g: Digraph) -> bool:
     """True iff G has no cycle; a loop counts as a cycle."""
-    return acyclic_mask(g.succ_masks, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return not core_mask(g.succ_masks, g.pred_masks, full, full)
 
 
 def is_strongly_connected(g: Digraph) -> bool:

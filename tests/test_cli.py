@@ -204,7 +204,8 @@ def test_dfvs_enumerate_cap(graph, capsys):
 
 
 def test_dfvs_enumerate_cap_counts_minimal_sets(graph, capsys):
-    # The search reaches 13 feedback sets here, 7 of them minimal.
+    # Uncut, the search would reach 12 feedback sets here, 7 of them
+    # minimal; the cap counts the minimal ones.
     g = random_strongly_connected(random.Random(3), 7, max_outdeg=3)
     path = graph("g.dg", serialize_digraph(g))
     unlimited = run(capsys, ["dfvs", "enumerate", path])
@@ -310,6 +311,21 @@ def test_astronomical_declared_size_is_a_capacity_error(graph, capsys, command,
     assert (code, out) == (3, "")
     assert err.startswith("error: input too large: ")
     assert err.count("\n") == 1
+
+
+def test_bounds_on_a_huge_declared_size_is_a_capacity_error(graph, capsys):
+    # The loop check reads the edges, not every declared vertex.
+    text = f"digraph {HUGE}\n0 1\n1 0\n"
+    code, out, err = run(capsys, ["bounds", graph("h.dg", text)])
+    assert (code, out) == (3, "")
+    assert "snum_exact limited to n <= 15" in err
+
+
+def test_bounds_on_a_huge_declared_size_rejects_loops(graph, capsys):
+    text = f"digraph {HUGE}\n0 1\n1 0\n0 0\n"
+    code, out, err = run(capsys, ["bounds", graph("h.dg", text)])
+    assert (code, out) == (1, "")
+    assert "bounds chain requires a loop-free digraph" in err
 
 
 def test_memory_error_is_a_capacity_error(graph, capsys, monkeypatch):

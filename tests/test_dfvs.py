@@ -23,11 +23,11 @@ from digrank import (
     min_dfvs,
     minimal_dfvs_enumerate,
 )
-from digrank.bitsets import set_of
+from digrank.bitsets import bits, set_of
 from digrank.dfvs import (
-    _cycle_packing, _feedback_masks, _least_feedback_mask, _lex_below, _peel,
+    _cycle_packing, _feedback_masks, _least_feedback_mask, _lex_below,
     _root_core, _shortest_cycle)
-from digrank.digraph import format_vertex_set, nontrivial_sccs_within
+from digrank.digraph import core_mask, format_vertex_set, nontrivial_sccs_within
 from digrank.generate import random_digraph, random_strongly_connected
 
 from common import chain, clique, cycle, edgeless, loop_vertex
@@ -221,8 +221,13 @@ def test_core_keeps_every_cycle_vertex():
                 # What the search relies on: core(R - v) = core(core(R) - v),
                 # peeling only v's neighbours.
                 vbit = 1 << v
-                assert (_peel(succ, pred, core ^ vbit, succ[v] | pred[v])
-                        == _peel(succ, pred, full ^ vbit, full ^ vbit))
+                assert (core_mask(succ, pred, core ^ vbit, succ[v] | pred[v])
+                        == core_mask(succ, pred, full ^ vbit, full ^ vbit))
+        for _ in range(10):
+            m = rng.randrange(1 << n)
+            # The core is empty exactly when the submask is acyclic.
+            assert ((core_mask(succ, pred, m, m) == 0)
+                    == (not nontrivial_sccs_within(g, bits(m))))
 
 
 def test_cycle_packing_is_a_lower_bound():
@@ -246,7 +251,7 @@ def test_feedback_mask_leaves_are_distinct_feedback_sets():
         n = rng.randrange(1, 9)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
                            allow_loops=True)
-        leaves = [set_of(x) for x in _feedback_masks(g)]
+        leaves = [set_of(x) for x in _feedback_masks(g, lambda *node: False)]
         assert len(leaves) == len(set(leaves))
         assert all(is_dfvs(g, s) for s in leaves)
 
@@ -275,20 +280,46 @@ def test_enumerate_excludes_loop_vertices_at_the_root(monkeypatch):
     assert len(calls) < 2 * j
 
 
-def test_enumerate_drops_nodes_with_a_forbidden_cycle(monkeypatch):
-    # Gadgets a < w1 < w2 < b with a -> w1 <-> w2 -> b -> a: the child
-    # deleting b forbids the 2-cycle w1 <-> w2, so it is dead at once
-    # instead of branching through every later gadget.
-    j = 6
+def gadgets(j):
+    """j gadgets a < w1 < w2 < b with a -> w1 <-> w2 -> b -> a, and their
+    2^j minimal feedback sets, one of w1, w2 per gadget."""
     edges = [e for i in range(j)
              for a, w1, w2, b in [(4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3)]
              for e in [(a, w1), (w1, w2), (w2, w1), (w2, b), (b, a)]]
-    g = Digraph.from_edges(4 * j, edges)
-    calls = count_cycle_searches(monkeypatch)
-    got = minimal_dfvs_enumerate(g)
-    assert got == as_sorted(frozenset(c) for c in itertools.product(
+    sets = as_sorted(frozenset(c) for c in itertools.product(
         *[(4 * i + 1, 4 * i + 2) for i in range(j)]))
-    assert len(calls) <= 2 * 4 ** j // 3
+    return Digraph.from_edges(4 * j, edges), sets
+
+
+def test_enumerate_drops_nodes_with_a_forbidden_cycle(monkeypatch):
+    # The child deleting b forbids the 2-cycle w1 <-> w2, so it is dead at
+    # once; the children of the one deleting a are cut, as a is redundant
+    # once w1 or w2 is deleted too.  Neither reaches the later gadgets.
+    j = 6
+    g, sets = gadgets(j)
+    calls = count_cycle_searches(monkeypatch)
+    assert minimal_dfvs_enumerate(g) == sets
+    assert len(calls) <= 2 ** (j + 1) - 2
+
+
+def test_enumerate_cuts_redundant_deletions(monkeypatch):
+    # Filtering the leaves for minimality instead of cutting redundant
+    # deletions takes 2 * (4^j - 1) / 3 cycle searches here, 699 050 at
+    # j = 10; the cut keeps them linear in the 2^j sets.
+    g, sets = gadgets(10)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 2 ** 11:
+            raise AssertionError("search grows past 2^11 cycle searches")
+        return _shortest_cycle(*args)
+
+    monkeypatch.setattr("digrank.dfvs._shortest_cycle", counted)
+    got = minimal_dfvs_enumerate(g)
+    assert len(got) == 1024
+    assert got == sets
 
 
 def test_min_dfvs_digest_is_pinned():
