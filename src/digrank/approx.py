@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 from .bitsets import set_of
 from .cyclerank import _optimal_trees
-from .digraph import (Digraph, _vertex_mask, cut_masks, nontrivial_sccs_within,
-                      scc_mask_partition)
+from .digraph import (MASK_VERTEX_LIMIT, Digraph, _vertex_mask, cut_masks,
+                      nontrivial_sccs_within, scc_mask_partition)
 # Unused here; kept because perfbench's tests expect to wrap approx.sccs_within.
 from .digraph import sccs_within  # noqa: F401
 from .elimination import EliminationForest, EliminationNode, height, pivot_tree
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 # Above this piece size the base case stops calling the exact solver and
 # falls back to a smallest-pivot deletion tree.
@@ -61,7 +61,8 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
     C).  Deleting v from C touches no other component, so v scores the
     larger of M and the largest SCC of C - v.  The vertices of C - v
     outside r's component are v's proper subtrees K in the dominator
-    trees of C from r (digraph.cut_masks; all of C - r when v = r).  r's
+    trees of C from r (cut_masks(g, C), O(|C|) steps per tree once the
+    dominator sets are known; all of C - r when v = r).  r's
     component has the other L - 1 - |K| vertices, and every other SCC of
     C - v is an SCC of the subgraph on K: a path between two vertices of
     K through r's component would put both in it.  So K is partitioned
@@ -90,7 +91,7 @@ def find_balanced_separator(g: Digraph, w: frozenset[int] | set[int]) -> frozens
         for c in comps:
             if c.bit_count() != largest:
                 continue
-            for v, cut in cut_masks(succ, pred, c).items():
+            for v, cut in cut_masks(g, c).items():
                 after = largest - 1 - cut.bit_count()
                 if cut.bit_count() > after:
                     after = max(after, *map(int.bit_count,
@@ -108,10 +109,12 @@ def crank_approx(g: Digraph, *, base_threshold: int | str = "auto") -> ApproxRes
     """Approximate cycle rank: a valid elimination forest plus its height.
 
     Pieces of at most ``base_threshold`` vertices end the recursion; "auto"
-    means max(1, ceil((log2 n)^1.5)).  No instance size limit; work is
-    polynomial except for the exact solves on pieces at most
+    means max(1, ceil((log2 n)^1.5)).  Limited to n <= MASK_VERTEX_LIMIT;
+    work is polynomial except for the exact solves on pieces at most
     EXACT_BASE_LIMIT large.
     """
+    if g.n > MASK_VERTEX_LIMIT:
+        raise CapacityError(f"crank_approx limited to n <= {MASK_VERTEX_LIMIT}, got n={g.n}")
     threshold = _resolve_threshold(base_threshold, g.n)
     log: list[tuple[int, int]] = []
 

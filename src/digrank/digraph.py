@@ -32,6 +32,8 @@ reaches w, hence v, so the whole path lies in B.  Since each peel removes
 a whole component, v's component in R is its component in the full mask,
 and the components come out by ascending least vertex.  sccs_within orders
 them topologically with Kahn's algorithm on the condensation.
+nontrivial_sccs_within orders only when two or more components are
+nontrivial; one or none needs no order.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ from .bitsets import bits, mask_of, set_of
 from .errors import InputError, ParseError
 
 Edge = tuple[int, int]
+
+# Largest n for which crank_approx and validate_forest run.  Both build
+# succ_masks and pred_masks, about n^2/4 bytes together: 64 MB at n = 2^14.
+# The check comes first, so a file declaring a far larger n fails at once
+# instead of growing until memory runs out.
+MASK_VERTEX_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -155,30 +163,45 @@ def scc_mask_partition(succ_masks, pred_masks, sub: int) -> Iterator[int]:
         rem ^= comp
 
 
-def cut_masks(succ_masks, pred_masks, comp: int) -> dict[int, int]:
-    """For each vertex v of the strongly connected subgraph on the mask
-    ``comp``, with r its least vertex: the mask of the vertices of comp - v
-    outside r's component in comp - v (all of comp - r when v = r).
+def cut_masks(g: Digraph, comp: int) -> dict[int, int]:
+    """For each vertex v of the strongly connected subgraph of G on the
+    mask ``comp``, with r its least vertex: the mask of the vertices of
+    comp - v outside r's component in comp - v (all of comp - r when v = r).
 
     r reaches w in comp - v unless v dominates w from r, and w reaches r
     unless v dominates w from r in the reverse graph (Italiano, Laura,
     Santaroni, "Finding strong bridges and strong articulation points in
-    linear time", TCS 2012).  So the mask holds each w whose forward or
-    reverse dominator set has v in it besides w.
+    linear time", TCS 2012).  So the mask holds v's proper subtrees in the
+    forward and the reverse dominator tree from r.
+
+    Each tree is built from the dominator sets in O(|comp|) steps.  The
+    dominators of w are totally ordered along the tree path from r, so
+    dom[w] - {w} is the set of w's immediate dominator, and distinct
+    vertices have distinct sets.  An immediate dominator lies on every
+    path from r to w, a shortest one included, so it is strictly nearer
+    to r and comes earlier in breadth-first order; in reversed order each
+    vertex's subtree is complete before it is ORed into its parent's.
     """
     r = (comp & -comp).bit_length() - 1
     cut = dict.fromkeys(bits(comp), 0)
-    for forward, backward in ((succ_masks, pred_masks), (pred_masks, succ_masks)):
-        for w, dom in _dominator_sets(forward, backward, comp, r).items():
-            for v in bits(dom ^ 1 << w):
-                cut[v] |= 1 << w
+    for succ_masks, pred_lists in ((g.succ_masks, g.pred), (g.pred_masks, g.succ)):
+        dom = _dominator_sets(succ_masks, pred_lists, comp, r)
+        vertex_of = {d: w for w, d in dom.items()}
+        below = dict.fromkeys(dom, 0)
+        for w in reversed(dom):
+            if w != r:
+                below[vertex_of[dom[w] ^ 1 << w]] |= below[w] | 1 << w
+        for v, m in below.items():
+            cut[v] |= m
     return cut
 
 
-def _dominator_sets(succ_masks, pred_masks, comp: int, r: int) -> dict[int, int]:
+def _dominator_sets(succ_masks, pred_lists, comp: int, r: int) -> dict[int, int]:
     """Each vertex's dominator-set mask in the flowgraph on ``comp`` rooted
     at r, following succ_masks (every vertex of comp must be reachable
-    from r), keyed in breadth-first order from r.
+    from r), keyed in breadth-first order from r.  ``pred_lists`` holds
+    every vertex's predecessors in the whole graph (G.pred, or G.succ for
+    the reverse flowgraph).
 
     v's dominators, the vertices on every path from r to v, are the
     greatest solution of dom[r] = {r}, dom[v] = {v} | (the meet of dom[p]
@@ -187,32 +210,41 @@ def _dominator_sets(succ_masks, pred_masks, comp: int, r: int) -> dict[int, int]
     is a superset.  The sets only shrink, so the sweeps stop, and they
     stop at a solution, hence at the greatest one.  Visiting the vertices
     in breadth-first layers from r lets most sets settle in one sweep.
+
+    The sets live in a list over all of G's vertices, each entry starting
+    at comp, and only vertices of comp are ever updated.  A predecessor
+    outside comp thus keeps the set comp, the identity of a meet inside
+    comp, so the full predecessor lists give the meet over the
+    predecessors in comp without filtering them.
     """
-    order = []
+    order = [r]
     seen = 1 << r
     frontier = succ_masks[r] & comp & ~seen
     while frontier:
         seen |= frontier
         nxt = 0
-        for v in bits(frontier):
-            order.append((v, list(bits(pred_masks[v] & comp))))
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            order.append(v)
             nxt |= succ_masks[v]
+            frontier ^= low
         frontier = nxt & comp & ~seen
-    dom = {r: 1 << r}
-    for v, _ in order:
-        dom[v] = comp
+    dom = [comp] * len(pred_lists)
+    dom[r] = 1 << r
+    rest = order[1:]
     changed = True
     while changed:
         changed = False
-        for v, ps in order:
+        for v in rest:
             d = comp
-            for p in ps:
+            for p in pred_lists[v]:
                 d &= dom[p]
             d |= 1 << v
             if d != dom[v]:
                 dom[v] = d
                 changed = True
-    return dom
+    return {v: dom[v] for v in order}
 
 
 def _vertex_mask(g: Digraph, vertices: Iterable[int]) -> int:
@@ -269,7 +301,16 @@ def is_nontrivial_component(g: Digraph, comp: frozenset[int]) -> bool:
 
 
 def nontrivial_sccs_within(g: Digraph, vertices: Iterable[int]) -> list[frozenset[int]]:
-    return [c for c in sccs_within(g, vertices) if is_nontrivial_component(g, c)]
+    """The nontrivial SCCs of the subgraph induced on ``vertices``, in
+    sccs_within order.  At most one needs no ordering, so only two or more
+    are handed to sccs_within."""
+    sub = _vertex_mask(g, vertices)
+    loops = g.loop_mask
+    comps = [c for c in scc_mask_partition(g.succ_masks, g.pred_masks, sub)
+             if c & (c - 1) or c & loops]
+    if len(comps) <= 1:
+        return [set_of(c) for c in comps]
+    return [c for c in sccs_within(g, bits(sub)) if is_nontrivial_component(g, c)]
 
 
 def is_acyclic(g: Digraph) -> bool:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .digraph import (
+    MASK_VERTEX_LIMIT,
     Digraph,
     _content_lines,
     format_vertex_set,
@@ -38,7 +39,7 @@ from .digraph import (
     parse_vertex_set,
     sccs_within,
 )
-from .errors import DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -159,7 +160,12 @@ def pivot_tree(g: Digraph, scope: frozenset[int],
 
 
 def validate_forest(g: Digraph, forest: EliminationForest) -> list[str]:
-    """Check the forest conditions; returns a list of violations, empty if ok."""
+    """Check the forest conditions; returns a list of violations, empty if ok.
+
+    Limited to n <= MASK_VERTEX_LIMIT."""
+    if g.n > MASK_VERTEX_LIMIT:
+        raise CapacityError(
+            f"validate_forest limited to n <= {MASK_VERTEX_LIMIT}, got n={g.n}")
     domain = set(g.vertices)
     violations: list[str] = []
 

@@ -120,7 +120,7 @@ def test_separator_matches_reference_greedy():
     for _ in range(60):
         n = rng.randint(16, 40)
         g = random_strongly_connected(rng, n, max_outdeg=rng.choice([2, 3]))
-        cuts = cut_masks(g.succ_masks, g.pred_masks, (1 << n) - 1)
+        cuts = cut_masks(g, (1 << n) - 1)
         del cuts[0]  # the root's cut is all the rest, always partitioned
         for cut in cuts.values():
             if 2 * cut.bit_count() > n - 1:

@@ -4,6 +4,7 @@ the stdout/stderr split."""
 import io
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from digrank import cli, serialize_digraph, serialize_forest
 from digrank.cli import main
+from digrank.digraph import MASK_VERTEX_LIMIT
 from digrank.generate import random_strongly_connected
 
 from common import bidirected_path, clique, least_pivot_path_forest
@@ -326,6 +328,27 @@ def test_bounds_on_a_huge_declared_size_rejects_loops(graph, capsys):
     code, out, err = run(capsys, ["bounds", graph("h.dg", text)])
     assert (code, out) == (1, "")
     assert "bounds chain requires a loop-free digraph" in err
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command, rest", [
+    (["crank", "approx"], []),
+    (["forest", "validate"], ["f.txt"]),
+], ids=["crank-approx", "forest-validate"])
+def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, rest):
+    # Without the size check both walk every declared vertex; the child's
+    # address space is capped so that fails in a MemoryError, not by
+    # exhausting the machine.
+    path = graph("h.dg", f"digraph {HUGE}\n0 1\n1 0\n")
+    rest = [graph(name, "0 {0,1}\n") for name in rest]
+    proc = subprocess.run([sys.executable, "-m", "digrank", *command, path, *rest],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_one_gib_address_space)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert f"limited to n <= {MASK_VERTEX_LIMIT}, got n={HUGE}" in proc.stderr
 
 
 def test_memory_error_is_a_capacity_error(graph, capsys, monkeypatch):

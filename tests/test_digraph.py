@@ -21,13 +21,14 @@ from digrank.digraph import (
     _dominator_sets,
     cut_masks,
     format_vertex_set,
+    is_nontrivial_component,
     nontrivial_sccs_within,
     parse_vertex_set,
     reach_mask,
     scc_mask_partition,
     sccs_within,
 )
-from digrank.generate import random_strongly_connected
+from digrank.generate import random_digraph, random_strongly_connected
 
 from common import chain, clique, cycle, edgeless, loop_vertex, with_comments
 
@@ -88,6 +89,22 @@ def test_nontrivial_sccs():
     assert nontrivial_sccs_within(g, g.vertices) == [frozenset({0, 1})]
     assert nontrivial_sccs_within(loop_vertex(), {0}) == [frozenset({0})]
     assert nontrivial_sccs_within(chain(3), range(3)) == []
+
+
+def test_nontrivial_sccs_match_filtered_sccs():
+    # One nontrivial component or none skips the ordering; the vertices
+    # come as a one-shot generator, so neither path may read them twice.
+    rng = random.Random(151)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(0, 14)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.05, 0.4),
+                           allow_loops=True)
+        sub = [v for v in range(n) if rng.random() < 0.7]
+        want = [c for c in sccs_within(g, sub) if is_nontrivial_component(g, c)]
+        assert nontrivial_sccs_within(g, (v for v in sub)) == want, (g.edges, sub)
+        seen.add(min(len(want), 2))
+    assert seen == {0, 1, 2}
 
 
 def test_sccs_within_restricts_to_the_induced_subgraph():
@@ -152,19 +169,24 @@ def brute_force_cuts(g, comp):
 
 
 def test_cut_masks_match_brute_force():
+    # Small graphs of every density, then outdegree-3 graphs of the sizes
+    # crank_approx is benchmarked on, whose dominator trees run deeper.
     rng = random.Random(113)
-    for _ in range(300):
-        n = rng.randint(1, 12)
+    for i in range(306):
+        if i < 300:
+            n = rng.randint(1, 12)
+            max_outdeg = rng.choice([None, 2, 3])
+        else:
+            n, max_outdeg = rng.randint(60, 100), 3
         g = random_strongly_connected(
-            rng, n, max_outdeg=rng.choice([None, 2, 3]),
+            rng, n, max_outdeg=max_outdeg,
             extra_prob=rng.uniform(0.05, 0.5), allow_loops=True)
         full = (1 << n) - 1
         # the whole graph, then the components left after deleting the
         # top vertex, which have edges to and from outside the mask
         comps = [full, *scc_mask_partition(g.succ_masks, g.pred_masks, full >> 1)]
         for comp in comps:
-            assert (cut_masks(g.succ_masks, g.pred_masks, comp)
-                    == brute_force_cuts(g, comp)), (g.edges, comp)
+            assert cut_masks(g, comp) == brute_force_cuts(g, comp), (g.edges, comp)
 
 
 def test_dominator_sets_match_definition():
@@ -180,8 +202,7 @@ def test_dominator_sets_match_definition():
         full = (1 << n) - 1
         for comp in [full, *scc_mask_partition(g.succ_masks, g.pred_masks, full >> 1)]:
             r = rng.choice([v for v in range(n) if comp >> v & 1])
-            for succ, pred in [(g.succ_masks, g.pred_masks),
-                               (g.pred_masks, g.succ_masks)]:
+            for succ, preds in [(g.succ_masks, g.pred), (g.pred_masks, g.succ)]:
                 reached = {v: reach_mask(succ, comp & ~(1 << v), r)
                            for v in range(n) if v != r and comp >> v & 1}
                 expected = {}
@@ -189,7 +210,7 @@ def test_dominator_sets_match_definition():
                     if comp >> w & 1:
                         expected[w] = (1 << r | 1 << w) | mask_of(
                             v for v, seen in reached.items() if not seen >> w & 1)
-                dom = _dominator_sets(succ, pred, comp, r)
+                dom = _dominator_sets(succ, preds, comp, r)
                 assert dom == expected, (g.edges, comp, r)
                 dist, layer, d = {}, 1 << r, 0
                 while layer:
@@ -218,7 +239,7 @@ def test_strong_articulation_points_pinned(g, saps, cuts):
     # A vertex v != 0 splits the graph exactly when its cut mask is
     # nonempty; the root 0 splits it when the rest is not one component.
     full = (1 << g.n) - 1
-    cut = cut_masks(g.succ_masks, g.pred_masks, full)
+    cut = cut_masks(g, full)
     assert cut == {v: mask_of(c) for v, c in cuts.items()}
     rest = list(scc_mask_partition(g.succ_masks, g.pred_masks, cut[0]))
     assert {v for v, c in cut.items() if c and v} | ({0} if len(rest) > 1 else set()) == saps
