@@ -187,14 +187,12 @@ def _cmd_bounds(args) -> int:
     rep = check_bounds(g)
     chain = "ok" if rep.chain_ok else "violated"
     bound = "-" if rep.rk_bound is None else rep.rk_bound
-    if args.format == "kv":
-        for key, value in [("snum", rep.snum), ("dpw", rep.dpw),
-                           ("crank", rep.crank), ("rk-1", bound),
-                           ("chain", chain)]:
-            print(f"{key}={value}")
-    else:
-        print(f"snum {rep.snum} dpw {rep.dpw} crank {rep.crank} "
-              f"rk-1 {bound} chain {chain}")
+    # One line in text, one metric a line in kv.
+    print(*(_metric(args.format, key, value)
+            for key, value in [("snum", rep.snum), ("dpw", rep.dpw),
+                               ("crank", rep.crank), ("rk-1", bound),
+                               ("chain", chain)]),
+          sep="\n" if args.format == "kv" else " ")
     return 0 if rep.chain_ok else 2
 
 
@@ -265,12 +263,9 @@ def _cmd_bench(args) -> int:
         res = crank_exact(g)
         worst = max(worst, res.memo_size)
         within = "yes" if res.memo_size <= bound + 1e-6 else "no"
-        if args.format == "kv":
-            print(f"trial={trial} crank={res.value} memo={res.memo_size} "
-                  f"within={within}")
-        else:
-            print(f"trial {trial} crank {res.value} memo {res.memo_size} "
-                  f"within {within}")
+        print(*(_metric(args.format, key, value)
+                for key, value in [("trial", trial), ("crank", res.value),
+                                   ("memo", res.memo_size), ("within", within)]))
         print(f"trial {trial} time {res.elapsed * 1000:.1f} ms", file=sys.stderr)
     print(_metric(args.format, "max-memo", worst))
     print(_metric(args.format, "bound", f"{bound:.1f}"))

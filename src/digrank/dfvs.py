@@ -1,12 +1,16 @@
 """Directed feedback vertex sets (DFVS) by one branching search with one
-branching rule.  minimal_dfvs_enumerate cuts a node once a deleted vertex
+cycle rule: a shortest cycle through the least vertex that lies on a cycle
+(_least_cycle).  minimal_dfvs_enumerate cuts a node once a deleted vertex
 lies on no cycle when put back, so its leaves are the minimal sets, whose
 complements are the maximal acyclic sets.  min_dfvs deepens a size k until
 a branch and bound over the same search finds the lexicographically least
-set of k vertices.
+set of k vertices; it bounds sizes from below by greedy packings of
+vertex-disjoint cycles, picked by the same rule, as any disjoint packing
+is a lower bound.
 
 Every vertex carrying a loop lies in every DFVS; the search deletes these
-forced vertices at its root, and min_dfvs reports them separately.
+forced vertices at its root, min_dfvs counts them apart from its packings,
+and reports them separately.
 """
 
 from __future__ import annotations
@@ -28,12 +32,18 @@ def is_dfvs(g: Digraph, s) -> bool:
 
 
 def _root_core(g: Digraph) -> int:
-    """The core of the whole graph, the search's starting residual."""
+    """The core of the whole graph, loop vertices included."""
     if g.n > DFVS_VERTEX_LIMIT:
         raise CapacityError(
             f"feedback vertex sets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
     full = (1 << g.n) - 1
     return core_mask(g.succ_masks, g.pred_masks, full, full)
+
+
+def _loop_free_core(g: Digraph) -> int:
+    """The core of G minus its loop vertices, where the search starts."""
+    root = _root_core(g)
+    return core_mask(g.succ_masks, g.pred_masks, root & ~g.loop_mask, root)
 
 
 def _shortest_cycle(succ, pred, sub: int, v: int) -> list[int] | None:
@@ -63,33 +73,31 @@ def _shortest_cycle(succ, pred, sub: int, v: int) -> list[int] | None:
     return None
 
 
+def _least_cycle(succ, pred, core: int, allowed: int) -> list[int]:
+    """A shortest cycle inside the core mask through the least vertex of
+    ``allowed`` that lies on a cycle there, starting at that vertex; a
+    vertex on no cycle is passed over.  ``allowed`` must hold a vertex on a
+    cycle of the core, as any nonempty core does."""
+    while (cycle := _shortest_cycle(
+            succ, pred, core, (allowed & -allowed).bit_length() - 1)) is None:
+        allowed &= allowed - 1
+    return cycle
+
+
 def _cycle_packing(g: Digraph, core: int) -> list[list[int]]:
-    """Vertex-disjoint cycles inside the core mask, picked greedily: a loop
-    vertex if there is one, else a shortest cycle through a vertex of least
-    outdegree (a vertex on no cycle is dropped); after each pick the core is
+    """Vertex-disjoint cycles inside the core mask, picked greedily by the
+    search's branching rule (see _least_cycle); after each pick the core is
     peeled again.  Empty exactly when the core is, i.e. the mask is acyclic.
+
+    Any feedback set of the core meets each of these disjoint cycles in its
+    own vertex, so however the cycles are picked their number is a lower
+    bound on its size.
     """
     succ = g.succ_masks
     pred = g.pred_masks
-    loops = g.loop_mask
     cycles = []
     while core:
-        if core & loops:
-            cycle = [(core & loops & -(core & loops)).bit_length() - 1]
-        else:
-            # least outdegree in the core, and 1 is least without loops
-            v, least = 0, g.n
-            m = core
-            while m and least > 1:
-                low = m & -m
-                d = (succ[low.bit_length() - 1] & core).bit_count()
-                if d < least:
-                    v, least = low.bit_length() - 1, d
-                m ^= low
-            cycle = _shortest_cycle(succ, pred, core, v)
-            if cycle is None:
-                core = core_mask(succ, pred, core ^ (1 << v), succ[v] | pred[v])
-                continue
+        cycle = _least_cycle(succ, pred, core, core)
         cycles.append(cycle)
         touched = 0
         for c in cycle:
@@ -122,10 +130,8 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool]) -> Iterato
     """
     succ = g.succ_masks
     pred = g.pred_masks
-    loops = g.loop_mask
-    root = _root_core(g)
     # (excluded X, forbidden P, core of G - X)
-    stack = [(loops, 0, core_mask(succ, pred, root & ~loops, root))]
+    stack = [(g.loop_mask, 0, _loop_free_core(g))]
     while stack:
         excluded, forbidden, core = stack.pop()
         if cut(excluded, forbidden, core):
@@ -135,10 +141,7 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool]) -> Iterato
             continue
         if core_mask(succ, pred, core & forbidden, forbidden):
             continue
-        m = core & ~forbidden
-        while (cycle := _shortest_cycle(
-                succ, pred, core, (m & -m).bit_length() - 1)) is None:
-            m &= m - 1
+        cycle = _least_cycle(succ, pred, core, core & ~forbidden)
         banned = forbidden
         children = []
         for c in sorted(cycle):
@@ -198,19 +201,23 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
     when k is at most the minimum size; None when k is below it.
 
     The search of _feedback_masks, run as a branch and bound: the best set
-    found so far is kept, and with need = k - |X| a node is cut when fewer
-    than need vertices of core - P remain, when X plus the need least of
-    them is not below the best, or when the core packs more than need
-    disjoint cycles.
+    found so far is kept, and with need = k - |X| a node is cut when need
+    is negative or exceeds the vertices of core - P, when X plus the need
+    least of them is not below the best, or when the core packs more than
+    need disjoint cycles (any disjoint packing bounds the feedback sets of
+    the core from below).  A node with need 0 and a nonempty core packs a
+    cycle and is cut, so need is negative only at the root, when k is below
+    the number of loop vertices; nothing is found then.  Leaves, whose core
+    is empty, are never packed.
 
-    Soundness.  No feedback set has fewer than k vertices, so every set
-    found has exactly k.  The least such set Y* is minimal, so by the
-    completeness argument of _feedback_masks it is reached unless a node on
-    its path is cut; every such node has X inside Y* and P disjoint from
-    it.  Y* - X is a minimal feedback set of G - X, so it lies in the core,
-    there are enough free vertices, no packing exceeds |Y* - X| = need, and
-    that node's bound set is at most Y*: the cut removes the path to Y*
-    only once Y* itself has been found.
+    Soundness.  No feedback set has fewer than k vertices, and no leaf
+    found has more, so every set found has exactly k.  The least such set
+    Y* is minimal, so by the completeness argument of _feedback_masks it is
+    reached unless a node on its path is cut; every such node has X inside
+    Y* and P disjoint from it.  Y* - X is a minimal feedback set of G - X,
+    so it lies in the core, there are enough free vertices, no packing
+    exceeds |Y* - X| = need, and that node's bound set is at most Y*: the
+    cut removes the path to Y* only once Y* itself has been found.
 
     Cost.  If the first descent, which deletes the least vertex of core - P
     on a cycle at every node, reaches a leaf, each sibling left on the stack
@@ -222,7 +229,7 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
     def cut(excluded: int, forbidden: int, core: int) -> bool:
         free = core & ~forbidden
         need = k - excluded.bit_count()
-        if free.bit_count() < need:
+        if not 0 <= need <= free.bit_count():
             return True
         if best is not None:
             bound, m = excluded, free
@@ -249,12 +256,14 @@ class DfvsResult:
 def min_dfvs(g: Digraph) -> DfvsResult:
     """A minimum DFVS; ties by the lexicographically least vertex tuple.
 
-    Iterative deepening on k, from the size of the cycle packing of G, a
-    lower bound, so no round's k exceeds the minimum size.
+    Iterative deepening on k from a lower bound, so no round's k exceeds
+    the minimum size: the loop vertices, which lie in every feedback set,
+    plus a packing of disjoint cycles in the core of G without them, each
+    of which needs a vertex of its own besides.
     _least_feedback_mask(g, k) finds nothing below the minimum size and the
     least minimum set at it.
     """
-    k = len(_cycle_packing(g, _root_core(g)))
+    k = g.loop_mask.bit_count() + len(_cycle_packing(g, _loop_free_core(g)))
     while (best := _least_feedback_mask(g, k)) is None:
         k += 1
     return DfvsResult(set_of(best), k, set_of(g.loop_mask))

@@ -109,11 +109,11 @@ def dpw_exact(g: Digraph) -> tuple[int, Bags]:
     pred = g.pred_masks
     full = (1 << n) - 1
 
-    def attempt(k: int) -> list[int] | None:
+    def attempt(k: int) -> Bags | None:
         cap = k + 1
         failed: set[int] = set()
 
-        def dfs(done: int, active: int) -> list[int] | None:
+        def dfs(done: int, active: int) -> Bags | None:
             if done == full:
                 return []
             if done in failed:
@@ -128,23 +128,15 @@ def dpw_exact(g: Digraph) -> tuple[int, Bags]:
                     ndone = done | low
                     rest = dfs(ndone, (active | pred[w]) & ~ndone)
                     if rest is not None:
-                        return [w] + rest
+                        return [set_of(peak)] + rest
             failed.add(done)
             return None
 
         return dfs(0, 0)
 
     for k in range(n):
-        order = attempt(k)
-        if order is not None:
-            bags: Bags = []
-            done = 0
-            active = 0
-            for w in order:
-                low = 1 << w
-                bags.append(set_of(active | (pred[w] & ~done) | low))
-                done |= low
-                active = (active | pred[w]) & ~done
+        bags = attempt(k)
+        if bags is not None:
             return k, bags
     raise AssertionError("unreachable: width n-1 always admits an order")
 

@@ -399,9 +399,11 @@ def test_bench_stdout_is_reproducible(capsys):
 
 
 def test_bench_trivial_n0(capsys):
-    code, out, _ = run(capsys, ["bench", "crank", "--n", "0", "--trials", "1"])
-    assert code == 0
-    assert "trial 0 crank 0 memo 0 within yes" in out
+    for fmt, expected in [
+            ("text", "trial 0 crank 0 memo 0 within yes\nmax-memo 0\nbound 1.0\n"),
+            ("kv", "trial=0 crank=0 memo=0 within=yes\nmax-memo=0\nbound=1.0\n")]:
+        args = ["bench", "crank", "--n", "0", "--trials", "1", "--format", fmt]
+        assert run(capsys, args)[:2] == (0, expected)
 
 
 def test_bench_argument_errors(capsys):

@@ -245,6 +245,44 @@ def test_cycle_packing_is_a_lower_bound():
             assert all(g.has_edge(u, w) for u, w in zip(c, c[1:] + c[:1]))
 
 
+def test_cycle_packing_picks_cycles_the_way_the_search_branches():
+    # 0 -> 1 -> 2 -> 3 -> 0, each of those also -> 4, and 4 <-> 5: vertex 4
+    # has outdegree 1 on a 2-cycle, but the least vertex on a cycle is 0.
+    g = Digraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4),
+                               (1, 4), (2, 4), (3, 4), (4, 5), (5, 4)])
+    assert _cycle_packing(g, _root_core(g)) == [[0, 1, 2, 3], [4, 5]]
+    rng = random.Random(109)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5),
+                           allow_loops=True)
+        on_cycle = frozenset().union(*nontrivial_sccs_within(g, range(n)))
+        cycles = _cycle_packing(g, _root_core(g))
+        assert (cycles[0][0] if cycles else None) == min(on_cycle, default=None)
+
+
+def loop_heavy_digraph(rng):
+    """At most 8 vertices, about half of them with a loop, sparse edges."""
+    n = rng.randrange(1, 9)
+    p = rng.uniform(0.05, 0.4)
+    return Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                  if rng.random() < (0.5 if u == v else p)])
+
+
+def test_least_feedback_mask_finds_nothing_below_the_minimum():
+    # Loop vertices alone: the root's k - |X| is negative for k below their
+    # number, and the core is already empty there.
+    g = Digraph.from_edges(2, [(0, 0), (1, 1)])
+    assert [_least_feedback_mask(g, k) for k in range(3)] == [None, None, 3]
+    rng = random.Random(113)
+    for _ in range(200):
+        g = loop_heavy_digraph(rng)
+        best = min_dfvs_bruteforce(g)
+        for k in range(len(best)):
+            assert _least_feedback_mask(g, k) is None
+        assert _least_feedback_mask(g, len(best)) == sum(1 << v for v in best)
+
+
 def test_feedback_mask_leaves_are_distinct_feedback_sets():
     rng = random.Random(107)
     for _ in range(120):
