@@ -94,8 +94,11 @@ def _optimal_trees(g: Digraph, scopes: list[frozenset[int]], memo_limit: int | N
       crank(X - y) = crank(X - y - x) <= crank(X - x), i.e. cost(y) <=
       cost(x).  y was tried before x, or skipped for a still smaller
       vertex; the chain descends, so some evaluated pivot below x costs
-      no more than x.  The rule is never mirrored to out-degree 1 or to a
-      larger y, which would let vertices skip each other in a cycle.
+      no more than x.  The rule never points to a larger y, which would
+      let vertices skip each other in a cycle.  Its mirror, a loop-free x
+      whose only out-neighbour in X is a smaller y, is as sound (x is a
+      sink in X - y), but it is left out on purpose: it would change the
+      memo sizes.
 
     Neither rule skips a pivot that would be the first to reach the least
     cost, so ties still go to the smallest vertex id and the witness is
@@ -189,49 +192,43 @@ def count_sc_subsets(g: Digraph) -> SubsetCensus:
     """Exact counts of nonempty vertex subsets inducing a strongly connected
     subgraph: all of them, and those containing at least one edge.
 
-    Search-based: subsets are rooted at their smallest vertex and grown
-    through weak neighbors, with branches pruned to the strongly connected
-    component of the root in the still-allowed subgraph (any strongly
-    connected superset must stay inside it).  Cost scales with the number
-    of weakly connected candidate sets rather than 2^n.
+    Binary partition (Read and Tarjan, Networks 1975).  Each set X is rooted
+    at its least vertex r.  A search node is a pair (allowed, required)
+    standing for the strongly connected X with required <= X <= allowed and
+    min X = r; the first node of r is (the vertices >= r, {r}).  Every such
+    X lies in k, the SCC of r in G[allowed].  A node whose required set is
+    not inside k stands for no set and is dropped.  Otherwise k itself is
+    counted, and any other X leaves out a least vertex u of k - required,
+    so the children, one per such u, are (k - u, required plus the vertices
+    of k below u): they split the remaining sets disjointly, and each set
+    is counted exactly once.
+
+    Cost.  Every node that is not dropped counts a distinct set and pushes
+    at most n children, and each node takes two reach_mask sweeps, so the
+    search makes at most 2n (total + 1) sweeps, rather than 2^n.
     """
     if g.n > EXACT_VERTEX_LIMIT:
         raise CapacityError(f"count_sc_subsets limited to n <= {EXACT_VERTEX_LIMIT}, got n={g.n}")
     succ = g.succ_masks
     pred = g.pred_masks
     loops = g.loop_mask
-    und = [succ[v] | pred[v] for v in range(g.n)]
+    full = (1 << g.n) - 1
     total = 0
     nontrivial = 0
-
-    def is_sc(c_mask: int, v: int) -> bool:
-        return (reach_mask(succ, c_mask, v) == c_mask
-                and reach_mask(pred, c_mask, v) == c_mask)
-
     for root in range(g.n):
-        allowed = ((1 << g.n) - 1) & ~((1 << root) - 1)  # root and above
         root_bit = 1 << root
-        total += 1
-        if root_bit & loops:
-            nontrivial += 1
-        # stack entries: (current set, banned set, weak neighbor mask)
-        stack = [(root_bit, 0, und[root])]
+        stack = [(full & -root_bit, root_bit)]  # (allowed, required)
         while stack:
-            cur, banned, nbrs = stack.pop()
-            avail = allowed & ~banned
-            k = reach_mask(succ, avail, root) & reach_mask(pred, avail, root)
-            if cur & ~k:
+            allowed, required = stack.pop()
+            k = reach_mask(succ, allowed, root) & reach_mask(pred, allowed, root)
+            if required & ~k:
                 continue
-            cand = nbrs & k & ~cur
-            taken = 0
-            for u in bits(cand):
+            total += 1
+            if k != root_bit or k & loops:
+                nontrivial += 1
+            for u in bits(k & ~required):
                 ubit = 1 << u
-                nxt = cur | ubit
-                if is_sc(nxt, root):
-                    total += 1
-                    nontrivial += 1  # has >= 2 vertices, hence an edge
-                stack.append((nxt, banned | taken, nbrs | und[u]))
-                taken |= ubit
+                stack.append((k ^ ubit, required | k & (ubit - 1)))
     return SubsetCensus(nontrivial, total)
 
 

@@ -31,19 +31,15 @@ def is_dfvs(g: Digraph, s) -> bool:
     return not core_mask(g.succ_masks, g.pred_masks, keep, keep)
 
 
-def _root_core(g: Digraph) -> int:
-    """The core of the whole graph, loop vertices included."""
+def _loop_free_core(g: Digraph) -> int:
+    """The core of G minus its loop vertices, where the search starts.  It
+    holds the size check, so min_dfvs and minimal_dfvs_enumerate call it
+    before they read anything that grows with n."""
     if g.n > DFVS_VERTEX_LIMIT:
         raise CapacityError(
             f"feedback vertex sets limited to n <= {DFVS_VERTEX_LIMIT}, got n={g.n}")
     full = (1 << g.n) - 1
-    return core_mask(g.succ_masks, g.pred_masks, full, full)
-
-
-def _loop_free_core(g: Digraph) -> int:
-    """The core of G minus its loop vertices, where the search starts."""
-    root = _root_core(g)
-    return core_mask(g.succ_masks, g.pred_masks, root & ~g.loop_mask, root)
+    return core_mask(g.succ_masks, g.pred_masks, full & ~g.loop_mask, full)
 
 
 def _shortest_cycle(succ, pred, sub: int, v: int) -> list[int] | None:
@@ -107,11 +103,13 @@ def _cycle_packing(g: Digraph, core: int) -> list[list[int]]:
     return cycles
 
 
-def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool]) -> Iterator[int]:
+def _feedback_masks(g: Digraph, root: int, cut: Callable[[int, int, int], bool]
+                    ) -> Iterator[int]:
     """Masks X with G - X acyclic, each yielded once, since sibling branches
     differ on a cycle vertex that one excludes and the later ones forbid.
 
-    The root excludes the loop vertices, which lie in every feedback set.
+    The root excludes the loop vertices, which lie in every feedback set;
+    its core is ``root``, _loop_free_core(g).
     Each search node keeps the core of its residual G - X (see core_mask): the
     core of G - X - v is that of (core of G - X) - v, so a child peels only
     what its one deletion exposes.  A node whose core is empty is a leaf:
@@ -131,7 +129,7 @@ def _feedback_masks(g: Digraph, cut: Callable[[int, int, int], bool]) -> Iterato
     succ = g.succ_masks
     pred = g.pred_masks
     # (excluded X, forbidden P, core of G - X)
-    stack = [(g.loop_mask, 0, _loop_free_core(g))]
+    stack = [(g.loop_mask, 0, root)]
     while stack:
         excluded, forbidden, core = stack.pop()
         if cut(excluded, forbidden, core):
@@ -163,6 +161,7 @@ def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset
     in Y and every x in X has a cycle in G - (Y - x), inside G - (X - x), so
     the cut never fires there.  A leaf passes it exactly when it is minimal.
     """
+    root = _loop_free_core(g)
     succ = g.succ_masks
     pred = g.pred_masks
     full = (1 << g.n) - 1
@@ -172,7 +171,7 @@ def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset
         return any(not reach_mask(succ, keep | 1 << x, x) & pred[x] for x in bits(excluded))
 
     sets = []
-    for x in _feedback_masks(g, cut):
+    for x in _feedback_masks(g, root, cut):
         sets.append(set_of(x))
         if cap is not None and len(sets) > cap:
             raise ResourceLimitError(
@@ -183,8 +182,9 @@ def minimal_dfvs_enumerate(g: Digraph, cap: int | None = None) -> list[frozenset
 
 def maximal_acyclic_subsets(g: Digraph, cap: int | None = None) -> list[frozenset[int]]:
     """All inclusion-maximal acyclic vertex sets, canonically sorted."""
+    sets = minimal_dfvs_enumerate(g, cap=cap)
     full = frozenset(g.vertices)
-    result = [full - s for s in minimal_dfvs_enumerate(g, cap=cap)]
+    result = [full - s for s in sets]
     result.sort(key=sorted)
     return result
 
@@ -241,7 +241,7 @@ def _least_feedback_mask(g: Digraph, k: int) -> int | None:
                 return True
         return bool(core) and len(_cycle_packing(g, core)) > need
 
-    for best in _feedback_masks(g, cut):
+    for best in _feedback_masks(g, _loop_free_core(g), cut):
         pass
     return best
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from digrank import cli, serialize_digraph, serialize_forest
 from digrank.cli import main
+from digrank.dfvs import DFVS_VERTEX_LIMIT
 from digrank.digraph import MASK_VERTEX_LIMIT
 from digrank.generate import random_strongly_connected
 
@@ -334,12 +335,13 @@ def _one_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("command, rest", [
-    (["crank", "approx"], []),
-    (["forest", "validate"], ["f.txt"]),
-], ids=["crank-approx", "forest-validate"])
-def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, rest):
-    # Without the size check both walk every declared vertex; the child's
+@pytest.mark.parametrize("command, rest, limit", [
+    (["crank", "approx"], [], MASK_VERTEX_LIMIT),
+    (["forest", "validate"], ["f.txt"], MASK_VERTEX_LIMIT),
+    (["dfvs", "enumerate"], [], DFVS_VERTEX_LIMIT),
+], ids=["crank-approx", "forest-validate", "dfvs-enumerate"])
+def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, rest, limit):
+    # Without the size check each walks every declared vertex; the child's
     # address space is capped so that fails in a MemoryError, not by
     # exhausting the machine.
     path = graph("h.dg", f"digraph {HUGE}\n0 1\n1 0\n")
@@ -348,7 +350,7 @@ def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, rest)
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=_one_gib_address_space)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert f"limited to n <= {MASK_VERTEX_LIMIT}, got n={HUGE}" in proc.stderr
+    assert f"limited to n <= {limit}, got n={HUGE}" in proc.stderr
 
 
 def test_memory_error_is_a_capacity_error(graph, capsys, monkeypatch):

@@ -21,7 +21,9 @@ from digrank import (
     sc_subset_bound,
     validate_forest,
 )
+from digrank import cyclerank
 from digrank.cyclerank import count_sc_subsets_bruteforce
+from digrank.digraph import reach_mask
 from digrank.elimination import height, serialize_forest
 from digrank.generate import (
     random_bounded_outdegree,
@@ -29,7 +31,7 @@ from digrank.generate import (
     random_strongly_connected,
 )
 
-from common import chain, clique, cycle, edgeless, loop_vertex
+from common import bidirected_path, chain, clique, cycle, edgeless, loop_vertex
 
 
 def all_graphs(n, loops=True):
@@ -170,6 +172,31 @@ def test_census_matches_bruteforce():
     for _ in range(60):
         g = random_digraph(rng, rng.randrange(1, 9))
         assert count_sc_subsets(g) == count_sc_subsets_bruteforce(g)
+    # Sparse graphs leave the root's component short of the required set
+    # most often, so they exercise the dropped nodes of the search.
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_digraph(rng, rng.randrange(1, 12), edge_prob=rng.uniform(0.05, 0.7),
+                           allow_loops=rng.random() < 0.5)
+        assert count_sc_subsets(g) == count_sc_subsets_bruteforce(g)
+
+
+def test_census_sweeps_twice_per_counted_set_on_bidirected_paths(monkeypatch):
+    # On a bidirected path no node of the search is dropped, so it takes
+    # exactly two reach_mask sweeps per strongly connected set it counts.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reach_mask(*args)
+
+    monkeypatch.setattr(cyclerank, "reach_mask", counted)
+    for n in range(10, 31):
+        calls = 0
+        census = count_sc_subsets(bidirected_path(n))
+        assert census.total == n * (n + 1) // 2
+        assert calls == 2 * census.total
 
 
 def test_growth_bound_pinned_values():

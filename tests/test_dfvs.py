@@ -26,7 +26,7 @@ from digrank import (
 from digrank.bitsets import bits, set_of
 from digrank.dfvs import (
     _cycle_packing, _feedback_masks, _least_feedback_mask, _lex_below,
-    _root_core, _shortest_cycle)
+    _loop_free_core, _shortest_cycle)
 from digrank.digraph import core_mask, format_vertex_set, nontrivial_sccs_within
 from digrank.generate import random_digraph, random_strongly_connected
 
@@ -212,7 +212,7 @@ def test_core_keeps_every_cycle_vertex():
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5),
                            allow_loops=True)
         succ, pred, full = g.succ_masks, g.pred_masks, (1 << n) - 1
-        core = _root_core(g)
+        core = core_mask(succ, pred, full, full)
         on_cycle = frozenset().union(*nontrivial_sccs_within(g, range(n)))
         assert on_cycle <= {v for v in range(n) if core >> v & 1}
         for v in range(n):
@@ -236,7 +236,8 @@ def test_cycle_packing_is_a_lower_bound():
         n = rng.randrange(1, 9)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
                            allow_loops=True)
-        cycles = _cycle_packing(g, _root_core(g))
+        full = (1 << n) - 1
+        cycles = _cycle_packing(g, core_mask(g.succ_masks, g.pred_masks, full, full))
         assert len(cycles) <= len(min_dfvs_bruteforce(g))
         assert (not cycles) == is_dfvs(g, frozenset())
         used = [v for c in cycles for v in c]
@@ -250,14 +251,17 @@ def test_cycle_packing_picks_cycles_the_way_the_search_branches():
     # has outdegree 1 on a 2-cycle, but the least vertex on a cycle is 0.
     g = Digraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4),
                                (1, 4), (2, 4), (3, 4), (4, 5), (5, 4)])
-    assert _cycle_packing(g, _root_core(g)) == [[0, 1, 2, 3], [4, 5]]
+    full = (1 << 6) - 1
+    assert (_cycle_packing(g, core_mask(g.succ_masks, g.pred_masks, full, full))
+            == [[0, 1, 2, 3], [4, 5]])
     rng = random.Random(109)
     for _ in range(200):
         n = rng.randrange(1, 10)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.5),
                            allow_loops=True)
         on_cycle = frozenset().union(*nontrivial_sccs_within(g, range(n)))
-        cycles = _cycle_packing(g, _root_core(g))
+        full = (1 << n) - 1
+        cycles = _cycle_packing(g, core_mask(g.succ_masks, g.pred_masks, full, full))
         assert (cycles[0][0] if cycles else None) == min(on_cycle, default=None)
 
 
@@ -289,7 +293,7 @@ def test_feedback_mask_leaves_are_distinct_feedback_sets():
         n = rng.randrange(1, 9)
         g = random_digraph(rng, n, edge_prob=rng.uniform(0.1, 0.6),
                            allow_loops=True)
-        leaves = [set_of(x) for x in _feedback_masks(g, lambda *node: False)]
+        leaves = [set_of(x) for x in _feedback_masks(g, _loop_free_core(g), lambda *node: False)]
         assert len(leaves) == len(set(leaves))
         assert all(is_dfvs(g, s) for s in leaves)
 
