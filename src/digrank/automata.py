@@ -19,9 +19,10 @@ from typing import Iterable, Sequence
 
 from .bitsets import bits
 from .cyclerank import crank_exact
-from .digraph import Digraph, _content_lines, is_strongly_connected, reach_mask
+from .digraph import (MASK_VERTEX_LIMIT, Digraph, _content_lines, is_strongly_connected,
+                      reach_mask)
 from .elimination import EliminationForest
-from .errors import DomainError, InputError, ParseError
+from .errors import CapacityError, DomainError, InputError, ParseError
 from .regex import (Concat, EmptySet, EmptyWord, Regex, Star, Symbol, Union,
                     _postorder, symbols_of)
 
@@ -50,7 +51,7 @@ class Nfa:
             raise InputError(f"state count must be positive, got {self.states}")
         seen = set()
         for sym in self.alphabet:
-            if not sym or sym != sym.strip() or any(c.isspace() for c in sym):
+            if not sym or any(c.isspace() for c in sym):
                 raise InputError(f"bad symbol {sym!r}: must be a whitespace-free token")
             if "#" in sym:  # the text format would read it as a comment
                 raise InputError(f"bad symbol {sym!r}: '#' starts a comment")
@@ -111,25 +112,16 @@ class Dfa(Nfa):
 
 
 def is_deterministic(a: Nfa) -> bool:
-    seen: set[tuple[int, str]] = set()
-    for p, sym, q in a.transitions:
-        if sym is None or (p, sym) in seen:
-            return False
-        seen.add((p, sym))
-    return True
+    """No epsilon move, and no two transitions share a (source, symbol) key."""
+    return (all(sym is not None for _, sym, _ in a.transitions)
+            and len({(p, sym) for p, sym, _ in a.transitions}) == len(a.transitions))
 
 
 def is_bideterministic(a: Nfa) -> bool:
     """Deterministic, a single final state, and deterministic again after
     reversing every transition and swapping initial with final."""
-    if len(a.finals) != 1 or not is_deterministic(a):
-        return False
-    seen: set[tuple[int, str]] = set()
-    for p, sym, q in a.transitions:
-        if (q, sym) in seen:
-            return False
-        seen.add((q, sym))
-    return True
+    return (len(a.finals) == 1 and is_deterministic(a)
+            and len({(q, sym) for _, sym, q in a.transitions}) == len(a.transitions))
 
 
 def underlying_digraph(a: Nfa) -> Digraph:
@@ -163,8 +155,10 @@ def trim(a: Nfa) -> Nfa:
 
     An empty language leaves no useful states at all; the result is then
     a single initial state with no transitions and no finals, and a
-    UserWarning is emitted.
+    UserWarning is emitted.  Limited to n <= MASK_VERTEX_LIMIT states.
     """
+    if a.states > MASK_VERTEX_LIMIT:
+        raise CapacityError(f"trim limited to n <= {MASK_VERTEX_LIMIT}, got n={a.states}")
     fwd = [0] * a.states
     bwd = [0] * a.states
     for p, _, q in a.transitions:
@@ -223,13 +217,7 @@ def regex_to_nfa(r: Regex, alphabet: Iterable[str] | None = None) -> Nfa:
         built.append((s, e))
 
     [(start, end)] = built
-    if alphabet is None:
-        syms = tuple(sorted(symbols_of(r)))
-    else:
-        syms = tuple(alphabet)
-        missing = symbols_of(r) - set(syms)
-        if missing:
-            raise InputError(f"symbols {sorted(missing)} not in the declared alphabet")
+    syms = tuple(sorted(symbols_of(r))) if alphabet is None else tuple(alphabet)
     return Nfa(states, syms, frozenset(transitions), start, frozenset([end]))
 
 
@@ -255,10 +243,14 @@ def walk_language_automaton(g: Digraph, v: int) -> Dfa:
     """Automaton of closed walks through v in a strongly connected G:
     states are the vertices, each edge (x,y) becomes a transition on its
     own symbol ``(x,y)``, initial = final = v.  Bideterministic and trim
-    by construction, and its transition structure is G itself.
+    by construction, and its transition structure is G itself.  Limited
+    to n <= MASK_VERTEX_LIMIT.
     """
     if not 0 <= v < g.n:
         raise InputError(f"vertex {v} out of range for n={g.n}")
+    if g.n > MASK_VERTEX_LIMIT:
+        raise CapacityError(
+            f"walk_language_automaton limited to n <= {MASK_VERTEX_LIMIT}, got n={g.n}")
     if not is_strongly_connected(g):
         raise DomainError("walk language automaton requires a strongly connected digraph")
     edges = sorted(g.edges)
@@ -294,8 +286,6 @@ def _code_words(r: int) -> list[tuple[str, ...]]:
     """Binary codeword per symbol index: the index written with a/b
     digits at fixed width ceil(log2 r), a marker a, then the same digits
     again.  Uniform length, so the code is uniquely decodable."""
-    if r == 0:
-        return []
     width = (r - 1).bit_length()
     words = []
     for i in range(r):
@@ -321,20 +311,24 @@ def binarize(a: Nfa) -> Dfa:
     {a, b} with the same star height, accepting the image of the language
     under the codeword map of binarize_word.
 
-    Each transition p -> q on symbol number i becomes a path spelling i's
-    codeword: the leading index digits run through a prefix tree owned by
-    p (shared prefixes share states, keeping the automaton
-    deterministic), the marker a crosses over, and the trailing digits
-    run through a suffix tree owned by q (shared suffixes share states,
-    keeping the reversal deterministic).  Deleting an interior tree
-    vertex of the underlying digraph never beats deleting the tree's
-    owner, so the cycle rank, and with it the star height, is exactly
-    preserved.  The result is trimmed and relabeled in BFS order.
+    Each transition p -> q becomes one path spelling its symbol's
+    codeword.  The leading index digits step through prefix states owned
+    by p, one per digit read (shared prefixes share states, keeping the
+    automaton deterministic); the marker a crosses over; the trailing
+    digits step through suffix states owned by q, one per digit left to
+    read (shared suffixes share states, keeping the reversal
+    deterministic).  Deleting an interior tree vertex of the underlying
+    digraph never beats deleting the tree's owner, so the cycle rank, and
+    with it the star height, is exactly preserved.  The input is trimmed
+    first, so every path is useful, and the result is relabeled in BFS
+    order.  Limited, through trim, to n <= MASK_VERTEX_LIMIT states.
     """
     if not is_bideterministic(a):
         raise DomainError("binarize requires a bideterministic automaton")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty-language trim is fine here
+        a = trim(a)
     codes = dict(zip(a.alphabet, _code_words(len(a.alphabet))))
-    width = (len(a.alphabet) - 1).bit_length() if a.alphabet else 0
     node_ids: dict[tuple, int] = {}
 
     def node(key: tuple) -> int:
@@ -342,24 +336,14 @@ def binarize(a: Nfa) -> Dfa:
 
     transitions: set[Transition] = set()
     for p, sym, q in a.transitions:
-        digits = codes[sym][:width]
-        cur = p
-        for d in range(width):
-            nxt = node(("pre", p, digits[:d + 1]))
-            transitions.add((cur, digits[d], nxt))
-            cur = nxt
-        transitions.add((cur, "a", node(("suf", q, digits)) if width else q))
-        pending = digits
-        while pending:
-            nxt = q if len(pending) == 1 else node(("suf", q, pending[1:]))
-            transitions.add((node(("suf", q, pending)), pending[0], nxt))
-            pending = pending[1:]
+        word = codes[sym]
+        digits = word[:len(word) // 2]
+        path = [p, *(node(("pre", p, digits[:k])) for k in range(1, len(digits) + 1)),
+                *(node(("suf", q, digits[k:])) for k in range(len(digits))), q]
+        transitions.update(zip(path, word, path[1:]))
 
-    raw = Dfa(a.states + len(node_ids), ("a", "b"), frozenset(transitions),
-              a.initial, a.finals)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # empty-language trim is fine here
-        result = trim(raw)
+    result = Dfa(a.states + len(node_ids), ("a", "b"), frozenset(transitions),
+                 a.initial, a.finals)
     if result.finals and not is_bideterministic(result):
         raise DomainError("binarize produced a non-bideterministic automaton")
     return _canonical_relabel(result) if result.finals else result

@@ -94,15 +94,13 @@ def _build_parser() -> _Parser:
     sh.add_argument("mode", choices=["regex", "bidet"])
     sh.add_argument("source", help="regular expression, or an automaton file for bidet")
 
-    reduce_ = sub.add_parser("reduce", help="digraph/automaton reductions",
-                             parents=[common])
+    # reduce prints automaton text only, so it takes no --format.
+    reduce_ = sub.add_parser("reduce", help="digraph/automaton reductions")
     rsub = reduce_.add_subparsers(dest="reduction", required=True)
-    walk = rsub.add_parser("walk", help="walk-language automaton of a vertex",
-                           parents=[common])
+    walk = rsub.add_parser("walk", help="walk-language automaton of a vertex")
     walk.add_argument("graph")
     walk.add_argument("vertex", type=int)
-    binz = rsub.add_parser("binarize", help="recode over a binary alphabet",
-                           parents=[common])
+    binz = rsub.add_parser("binarize", help="recode over a binary alphabet")
     binz.add_argument("automaton", help="DFA file")
 
     bench = sub.add_parser("bench", help="benchmarks", parents=[common])

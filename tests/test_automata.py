@@ -5,6 +5,7 @@ subset-simulating nfa_accepts against the position-automaton regex matcher,
 and original-versus-recoded automata against each other.
 """
 
+import hashlib
 import random
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digrank import (
+    CapacityError,
     Dfa,
     Digraph,
     DomainError,
@@ -36,6 +38,7 @@ from digrank import (
     walk_language_automaton,
 )
 from digrank.automata import edge_symbol
+from digrank.digraph import MASK_VERTEX_LIMIT
 from digrank.generate import (
     random_bideterministic,
     random_regex,
@@ -69,8 +72,9 @@ TWO_STATE = Dfa(
 def test_nfa_validation():
     with pytest.raises(InputError):
         Nfa(0, (), frozenset(), 0, frozenset())
-    with pytest.raises(InputError):
-        Nfa(1, ("a b",), frozenset(), 0, frozenset())
+    for bad in ("a b", " a", "a\t", "\u2003"):
+        with pytest.raises(InputError, match="whitespace-free"):
+            Nfa(1, (bad,), frozenset(), 0, frozenset())
     with pytest.raises(InputError):
         Nfa(1, ("eps",), frozenset(), 0, frozenset())
     with pytest.raises(InputError):
@@ -114,6 +118,32 @@ def test_determinism_predicates():
     assert not is_bideterministic(two_finals)
 
 
+def test_determinism_predicates_match_a_pairwise_definition():
+    # Random NFAs with epsilon moves and repeated (source, symbol) pairs,
+    # against determinism spelled out over every pair of transitions.
+    rng = random.Random(151)
+    seen = {"deterministic": 0, "bideterministic": 0, "epsilon": 0, "clash": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        symbols = [None] * (rng.random() < 0.2) + ["a", "b"]
+        transitions = frozenset((rng.randrange(n), rng.choice(symbols), rng.randrange(n))
+                                for _ in range(rng.randint(0, 5)))
+        a = Nfa(n, ("a", "b"), transitions, 0,
+                frozenset(rng.sample(range(n), rng.randint(0, min(2, n)))))
+        pairs = [(s, t) for s in transitions for t in transitions if s != t]
+        clash = any(s[:2] == t[:2] for s, t in pairs)
+        deterministic = all(sym is not None for _, sym, _ in transitions) and not clash
+        bideterministic = (deterministic and len(a.finals) == 1
+                           and not any(s[1:] == t[1:] for s, t in pairs))
+        assert is_deterministic(a) == deterministic, serialize_automaton(a)
+        assert is_bideterministic(a) == bideterministic, serialize_automaton(a)
+        seen["deterministic"] += deterministic
+        seen["bideterministic"] += bideterministic
+        seen["epsilon"] += any(sym is None for _, sym, _ in transitions)
+        seen["clash"] += clash
+    assert all(seen.values()), seen
+
+
 def test_underlying_digraph():
     loop = Dfa(1, ("a",), frozenset({(0, "a", 0)}), 0, frozenset([0]))
     assert underlying_digraph(loop) == Digraph.from_edges(1, [(0, 0)])
@@ -137,6 +167,11 @@ def test_nfa_accepts_star():
 def test_accepts_foreign_symbol_with_declared_alphabet():
     star = regex_to_nfa(parse_regex("a*"), alphabet=("a", "b"))
     assert not nfa_accepts(star, "b")
+
+
+def test_regex_symbol_outside_the_declared_alphabet():
+    with pytest.raises(InputError, match="transition symbol 'b' not in alphabet"):
+        regex_to_nfa(parse_regex("a*b"), alphabet=("a",))
 
 
 def test_trim_drops_useless_states():
@@ -427,6 +462,53 @@ def test_binarize_is_deterministic_output():
     rng = random.Random(139)
     a = random_bideterministic(rng, 5, ("s0", "s1"))
     assert binarize(a) == binarize(a)
+
+
+def _untrimmed(rng, a):
+    """a plus an unreachable state u looping on one symbol and a dead
+    state entered on a symbol some state lacks; one time in four u is the
+    only final state, so the language is empty.  Bideterministic as a is."""
+    u, dead = a.states, a.states + 1
+    extra = {(u, rng.choice(a.alphabet), u)}
+    keys = {(p, sym) for p, sym, _ in a.transitions}
+    missing = [(p, sym) for p in range(a.states) for sym in a.alphabet
+               if (p, sym) not in keys]
+    if missing:
+        p, sym = rng.choice(missing)
+        extra.add((p, sym, dead))
+    finals = frozenset([u]) if rng.random() < 0.25 else a.finals
+    return Dfa(a.states + 2, a.alphabet, a.transitions | extra, a.initial, finals)
+
+
+def test_binarize_may_exceed_the_state_limit_of_its_input():
+    # The recoding of a cycle on 1 500 states over four symbols has 13
+    # states per original one, more than trim takes; binarize trims its
+    # input, never the recoding.
+    n = 1500
+    alphabet = ("s0", "s1", "s2", "s3")
+    a = Dfa(n, alphabet,
+            frozenset((p, sym, (p + k + 1) % n) for k, sym in enumerate(alphabet)
+                      for p in range(n)),
+            0, frozenset([0]))
+    b = binarize(a)
+    assert b.states == 13 * n > MASK_VERTEX_LIMIT
+    with pytest.raises(CapacityError):
+        trim(b)
+
+
+def test_binarize_output_pinned():
+    # Digest of the text of 300 recoded automata over 1-5 symbols, half of
+    # them padded with useless states; a change to the recoding's paths,
+    # its trimming or its numbering shows here.
+    rng = random.Random(157)
+    h = hashlib.sha256()
+    for i in range(300):
+        alphabet = ("s0", "s1", "s2", "s3", "s4")[:rng.randint(1, 5)]
+        a = random_bideterministic(rng, 6, alphabet)
+        if i % 2:
+            a = _untrimmed(rng, a)
+        h.update(serialize_automaton(binarize(a)).encode())
+    assert h.hexdigest() == "b5b7391ea5a0003c3a49e8e528d638ee562fe90c95e17811299318021e27e571"
 
 
 # text format

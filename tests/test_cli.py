@@ -105,6 +105,21 @@ def test_crank_exact_memo_limit_validation(graph, capsys, limit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["reduce", "walk", "--format", "kv", "G", "0"],
+    ["reduce", "--format", "kv", "walk", "G", "0"],
+    ["reduce", "binarize", "--format", "text", "A"],
+], ids=["walk-kv", "reduce-kv", "binarize-text"])
+def test_reduce_rejects_format(graph, capsys, args):
+    # reduce prints automaton text only; a --format it would ignore is an
+    # input error, as on the other subcommands.
+    files = {"G": graph("c3.dg", C3),
+             "A": graph("c3.aut", "states 1\nalphabet a\ninitial 0\nfinals 0\n0 a 0\n")}
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in args])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_kv_format(graph, capsys):
     code, out, _ = run(capsys, ["crank", "exact", "--format", "kv",
                                 graph("c4.dg", C4)])
@@ -299,23 +314,6 @@ def test_empty_language_warns_before_the_error(graph, capsys):
 
 
 HUGE = "1" + "0" * 30
-HUGE_AUT = f"states {HUGE}\nalphabet a\ninitial 0\nfinals 0\n0 a 0\n"
-
-
-@pytest.mark.parametrize("command, name, text, rest", [
-    (["sh", "bidet"], "h.aut", HUGE_AUT, []),
-    (["reduce", "binarize"], "h.aut", HUGE_AUT, []),
-    (["reduce", "walk"], "h.dg", f"digraph {HUGE}\n0 0\n", ["0"]),
-], ids=["sh-bidet", "reduce-binarize", "reduce-walk"])
-def test_astronomical_declared_size_is_a_capacity_error(graph, capsys, command,
-                                                         name, text, rest):
-    # The sizes parse, but lists and masks that large overflow.
-    code, out, err = run(capsys, [*command, graph(name, text), *rest])
-    assert (code, out) == (3, "")
-    assert err.startswith("error: input too large: ")
-    assert err.count("\n") == 1
-
-
 def test_bounds_on_a_huge_declared_size_is_a_capacity_error(graph, capsys):
     # The loop check reads the edges, not every declared vertex.
     text = f"digraph {HUGE}\n0 1\n1 0\n"
@@ -335,22 +333,37 @@ def _one_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("command, rest, limit", [
-    (["crank", "approx"], [], MASK_VERTEX_LIMIT),
-    (["forest", "validate"], ["f.txt"], MASK_VERTEX_LIMIT),
-    (["dfvs", "enumerate"], [], DFVS_VERTEX_LIMIT),
-], ids=["crank-approx", "forest-validate", "dfvs-enumerate"])
-def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, rest, limit):
-    # Without the size check each walks every declared vertex; the child's
-    # address space is capped so that fails in a MemoryError, not by
-    # exhausting the machine.
-    path = graph("h.dg", f"digraph {HUGE}\n0 1\n1 0\n")
-    rest = [graph(name, "0 {0,1}\n") for name in rest]
+# Each input file is one of these two texts with n set to the declared size.
+HUGE_DG = "digraph {n}\n0 1\n1 0\n"
+HUGE_AUT = "states {n}\nalphabet a\ninitial 0\nfinals 0\n0 a 0\n"
+
+
+@pytest.mark.parametrize("command, text, rest, limit, n", [
+    (["crank", "approx"], HUGE_DG, [], MASK_VERTEX_LIMIT, HUGE),
+    (["forest", "validate"], HUGE_DG, ["f.txt"], MASK_VERTEX_LIMIT, HUGE),
+    (["dfvs", "enumerate"], HUGE_DG, [], DFVS_VERTEX_LIMIT, HUGE),
+    (["reduce", "walk"], HUGE_DG, ["0"], MASK_VERTEX_LIMIT, HUGE),
+    (["sh", "bidet"], HUGE_AUT, [], MASK_VERTEX_LIMIT, HUGE),
+    (["reduce", "binarize"], HUGE_AUT, [], MASK_VERTEX_LIMIT, HUGE),
+    # Small enough to allocate, so without the check these run for
+    # seconds and end in a MemoryError under the cap.
+    (["reduce", "walk"], HUGE_DG, ["0"], MASK_VERTEX_LIMIT, "200000000"),
+    (["sh", "bidet"], HUGE_AUT, [], MASK_VERTEX_LIMIT, "200000000"),
+    (["reduce", "binarize"], HUGE_AUT, [], MASK_VERTEX_LIMIT, "200000000"),
+], ids=["crank-approx", "forest-validate", "dfvs-enumerate", "reduce-walk", "sh-bidet",
+        "reduce-binarize", "reduce-walk-2e8", "sh-bidet-2e8", "reduce-binarize-2e8"])
+def test_mask_solvers_refuse_a_huge_declared_size_up_front(graph, command, text, rest,
+                                                           limit, n):
+    # Without the size check each walks every declared vertex or state;
+    # the child's address space is capped so that fails in a MemoryError,
+    # not by exhausting the machine.
+    path = graph("h.in", text.format(n=n))
+    rest = [graph(arg, "0 {0,1}\n") if arg == "f.txt" else arg for arg in rest]
     proc = subprocess.run([sys.executable, "-m", "digrank", *command, path, *rest],
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=_one_gib_address_space)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert f"limited to n <= {limit}, got n={HUGE}" in proc.stderr
+    assert f"limited to n <= {limit}, got n={n}" in proc.stderr
 
 
 def test_memory_error_is_a_capacity_error(graph, capsys, monkeypatch):
